@@ -18,7 +18,8 @@ import numpy as np
 from scipy import stats
 
 from .coefficients import CoefficientTable, coefficient_table
-from .laws import CapExceededError, EntropyProfile, SystemLaw, entropy_profile_exact
+from .laws import (DEFAULT_SUBSET_CAP, CapExceededError, EntropyProfile,
+                   SystemLaw, entropy_profile_exact)
 from .profiles import g_functional
 from .rng import SplitMix64
 
@@ -156,7 +157,7 @@ class RealizedProfile:
 
 
 def realized_profile(spec: ConstructionSpec, families=(), *,
-                     subset_cap: int = 22,
+                     subset_cap: int = DEFAULT_SUBSET_CAP,
                      support_cap: int = DEFAULT_SUPPORT_CAP) -> RealizedProfile:
     """Sample the system and evaluate its exact profile plus one normalized
     intricacy per requested (name, MixingMeasure) family."""

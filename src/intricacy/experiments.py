@@ -17,8 +17,9 @@ import numpy as np
 from .coefficients import (CoefficientTable, MixingMeasure, coefficient_table)
 from .construction import (ConstructionSpec, m_from_target,
                            sample_sparse_system)
-from .laws import (CapExceededError, EntropyProfile, SystemLaw, entropy,
-                   entropy_profile_exact, subset_entropy)
+from .laws import (DEFAULT_SUBSET_CAP, CapExceededError, EntropyProfile,
+                   SystemLaw, _popcounts, entropy, entropy_profile_exact,
+                   subset_entropy)
 from .profiles import g_functional, ic_limit, ic_n, ideal_profile, profile_norm
 from .rng import SplitMix64
 
@@ -73,7 +74,7 @@ def _record_for(profile: EntropyProfile, family: str,
 
 
 def convergence_sweep(families, d: int, x: float, N_list, seeds, *,
-                      subset_cap: int = 22,
+                      subset_cap: int = DEFAULT_SUBSET_CAP,
                       keep_profiles: bool = False):
     """One sampled system per (N, seed) with M = floor(x*N); every family is
     evaluated on the same law.  Returns records sorted by (family, N, seed);
@@ -204,29 +205,38 @@ class SearchResult:
     restarts: list[RestartResult] = field(default_factory=list)
 
 
-def _subset_axes(N: int):
-    masks = range(1 << N)
-    return [(m, tuple(i for i in range(N) if not (m >> i) & 1)) for m in masks]
+def _subset_keys(d: int, N: int) -> np.ndarray:
+    """(2^N, d^N) matrix whose row S holds, for every configuration x, the
+    index of x's projection onto S, offset by S * d^N.
+
+    One ``bincount`` over it gives every subset marginal at once.
+    """
+    size = d**N
+    x = np.arange(size)
+    digits = [(x // d ** (N - 1 - i)) % d for i in range(N)]
+    keys = np.empty((1 << N, size), dtype=np.intp)
+    for mask in range(1 << N):
+        proj = np.zeros(size, dtype=np.intp)
+        for i in range(N):
+            if (mask >> i) & 1:
+                proj = proj * d + digits[i]
+        keys[mask] = mask * size + proj
+    return keys
 
 
-def _intricacy_and_grad(p: np.ndarray, c: np.ndarray, axes):
-    logp = np.log(np.maximum(p, 1e-300))
-    h_full = float(-(p * logp).sum())
-    value = -h_full
-    grad = 1.0 + logp
-    for mask, drop in axes:
-        if mask == 0:
-            continue
-        k = mask.bit_count()
-        if drop:
-            nu = p.sum(axis=drop, keepdims=True)
-            lognu = np.log(np.maximum(nu, 1e-300))
-            value += 2.0 * c[k] * float(-(nu * lognu).sum())
-            grad -= 2.0 * c[k] * (1.0 + lognu)
-        else:
-            value += 2.0 * c[k] * h_full
-            grad -= 2.0 * c[k] * (1.0 + logp)
-    return value, grad
+def _intricacy_and_grad(p: np.ndarray, c: np.ndarray, keys: np.ndarray):
+    """I^c(p) in nats and its gradient, via the marginals of every subset."""
+    masks, size = keys.shape
+    w = 2.0 * c[_popcounts(np.arange(masks, dtype=np.uint32)).astype(np.intp)]
+    w[0] = 0.0
+    nu = np.bincount(keys.ravel(), weights=np.tile(p.ravel(), masks),
+                     minlength=masks * size)
+    lognu = np.log(np.maximum(nu, 1e-300))
+    h = -(nu * lognu).reshape(masks, size).sum(axis=1)
+    # I = sum_{S != empty} w_S H(X_S) - H(X); the full mask's block of nu is p
+    value = float(w @ h) - h[-1]
+    grad = 1.0 + lognu[keys[-1]] - w @ (1.0 + lognu[keys])
+    return value, grad.reshape(p.shape)
 
 
 def maximizer_search(d: int, N: int, table: CoefficientTable, *,
@@ -248,7 +258,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
     if table.N != N:
         raise ValueError("table size mismatch")
     rng = np.random.default_rng(seed)
-    axes = _subset_axes(N)
+    keys = _subset_keys(d, N)
     shape = (d,) * N
     norm = N * math.log(d)
     best = None
@@ -258,7 +268,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
         p = np.maximum(p, 1e-12)
         p /= p.sum()
         for t in range(1, iterations + 1):
-            value, grad = _intricacy_and_grad(p, table.c, axes)
+            value, grad = _intricacy_and_grad(p, table.c, keys)
             if entropy_target is not None:
                 logp = np.log(np.maximum(p, 1e-300))
                 h_n = float(-(p * logp).sum()) / norm
@@ -268,7 +278,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
             p = p * np.exp(step * (grad - grad.max()))
             p /= p.sum()
         law = SystemLaw.dense(d, N, p.ravel())
-        value, _ = _intricacy_and_grad(p, table.c, axes)
+        value, _ = _intricacy_and_grad(p, table.c, keys)
         x_ach = min(max(entropy(law) / norm, 0.0), 1.0)
         cert = ic_n(x_ach, table) - value / norm
         results.append(RestartResult(value, value / norm, x_ach, cert))
@@ -290,7 +300,8 @@ class FamilyTrend:
 
 
 def simultaneity_check(families, d: int, x: float, N_list, seeds, *,
-                       subset_cap: int = 22) -> list[FamilyTrend]:
+                       subset_cap: int = DEFAULT_SUBSET_CAP
+                       ) -> list[FamilyTrend]:
     """Evaluate every family's normalized intricacy trend on the SAME
     sampled law sequence and compare against each family's own limit
     i^c(x).  Emits a warning (not a failure) when x is outside a family's

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import entr
 
 from .rng import SplitMix64
 
@@ -158,6 +159,8 @@ def _normalized(p: np.ndarray) -> np.ndarray:
         raise LawValidationError("empty probability table")
     if np.any(p < 0):
         raise LawValidationError("negative probability mass")
+    if not np.all(np.isfinite(p)):
+        raise LawValidationError("non-finite probability mass")
     total = float(p.sum())
     if abs(total - 1.0) > MASS_TOL:
         raise LawValidationError(
@@ -230,11 +233,16 @@ def relabel_symbols(law: SystemLaw, tables) -> SystemLaw:
     return new
 
 
-def _sparse_to_dense(law: SystemLaw) -> SystemLaw:
+def _scatter(law: SystemLaw) -> np.ndarray:
+    """The flat d^N table of a law's support."""
     table = np.zeros(law.d**law.N)
     idx = law.configs.astype(np.int64) @ _radix(law.d, law.N)
     table[idx] = law.probs
-    return SystemLaw.dense(law.d, law.N, table)
+    return table
+
+
+def _sparse_to_dense(law: SystemLaw) -> SystemLaw:
+    return SystemLaw.dense(law.d, law.N, _scatter(law))
 
 
 # --- core operations ----------------------------------------------------
@@ -308,7 +316,7 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
     kmax = int(K.max()) if K.size else 0
     dtype = np.uint32 if (kmax << shift) | (n - 1) < 2**32 else np.int64
     comb = (K.astype(dtype) << dtype(shift)) | np.arange(n, dtype=dtype)
-    comb = np.sort(comb, axis=1, kind="stable")
+    comb = np.sort(comb, axis=1)
     Ks = comb >> dtype(shift)
     Ps = probs[(comb & dtype((1 << shift) - 1)).astype(np.intp)]
     starts = np.empty((m, n), dtype=bool)
@@ -322,19 +330,11 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.bincount(rows, weights=contrib, minlength=m)
 
 
-def all_subset_entropies(law: SystemLaw, *, cap: int = DEFAULT_SUBSET_CAP,
-                         chunk: int = 4096) -> np.ndarray:
-    """H(X_S) for every mask S in {0,...,2^N - 1}, indexed by mask.
-
-    Works on the support, so sparse laws cost O(2^N * support) rather than
-    O(2^N * d^N).  Raises :class:`CapExceededError` above the cap; use
-    :func:`entropy_profile_sampled` for larger systems.
-    """
+def _sorted_entropies(law: SystemLaw) -> np.ndarray:
+    """Sort path of :func:`all_subset_entropies`: group the support by its
+    projected key, ``chunk`` masks at a time."""
     N, d = law.N, law.d
-    if N > cap:
-        raise CapExceededError(
-            f"N={N} exceeds the exhaustive subset cap {cap}; "
-            "use entropy_profile_sampled for larger systems")
+    chunk = 4096
     configs, probs = law.support()
     total = 1 << N
     out = np.empty(total)
@@ -352,6 +352,61 @@ def all_subset_entropies(law: SystemLaw, *, cap: int = DEFAULT_SUBSET_CAP,
             K = bits @ keyed.T
             out[start:start + ms.size] = _grouped_entropies(K, probs)
     return out
+
+
+def _lattice_entropies(law: SystemLaw) -> np.ndarray:
+    """Lattice path of :func:`all_subset_entropies`: the marginal of S is
+    the marginal of S + {i} summed over axis i.
+
+    The walk starts at the full mask and only drops coordinates below the
+    last one dropped, so every subset is reached exactly once and the
+    recursion holds one marginal per level.
+    """
+    N, d = law.N, law.d
+    table = law.table if law.kind == "dense" else _scatter(law)
+    out = np.empty(1 << N)
+
+    def walk(marg, mask, axes, below):
+        # ``marg`` has one axis per coordinate in ``axes`` (increasing)
+        out[mask] = entr(marg).sum() + 0.0
+        for pos, i in enumerate(axes):
+            if i >= below:
+                break
+            walk(marg.sum(axis=pos), mask ^ (1 << i),
+                 axes[:pos] + axes[pos + 1:], i)
+
+    walk(table.reshape((d,) * N), full_mask(N), tuple(range(N)), N)
+    return out
+
+
+def all_subset_entropies(law: SystemLaw, *,
+                         cap: int = DEFAULT_SUBSET_CAP) -> np.ndarray:
+    """H(X_S) for every mask S in {0,...,2^N - 1}, indexed by mask.
+
+    Two algorithms, chosen by their cost on this law:
+
+    - the *lattice* path sums one axis of the marginal of S + {i} to get
+      the marginal of S, walking the subset lattice once: (d+1)^N work and
+      at most ~2 d^N floats held at a time (a sparse law is first scattered
+      into its d^N table);
+    - the *sort* path groups the support by its projected configuration,
+      mask by mask: about 2^N * support * log(support) work and memory
+      for 4096 masks x support keys at a time.
+
+    The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
+    high-support laws; the sort path otherwise, e.g. for the sparse
+    constructions with support d^M << d^N.  Raises
+    :class:`CapExceededError` above the cap; use
+    :func:`entropy_profile_sampled` for larger systems.
+    """
+    N, d = law.N, law.d
+    if N > cap:
+        raise CapExceededError(
+            f"N={N} exceeds the exhaustive subset cap {cap}; "
+            "use entropy_profile_sampled for larger systems")
+    if (d + 1) ** N <= (1 << N) * law.support_size:
+        return _lattice_entropies(law)
+    return _sorted_entropies(law)
 
 
 # --- entropy profiles ----------------------------------------------------

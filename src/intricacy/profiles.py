@@ -15,12 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientTable, MixingMeasure, binomials
-from .laws import (EntropyProfile, SystemLaw, all_subset_entropies, entropy,
-                   entropy_profile_exact, _popcounts)
+from .laws import (DEFAULT_SUBSET_CAP, EntropyProfile, SystemLaw,
+                   all_subset_entropies, entropy, entropy_profile_exact,
+                   _popcounts)
 
 
 def intricacy_defn(law: SystemLaw, table: CoefficientTable, *,
-                   cap: int = 22) -> float:
+                   cap: int = DEFAULT_SUBSET_CAP) -> float:
     """I^c(X) = sum over all subsets S of c^N_{|S|} MI(X_S, X_{S^c}), nats."""
     if table.N != law.N:
         raise ValueError(f"table size {table.N} != law size {law.N}")
@@ -113,7 +114,7 @@ class DeficitReport:
 
 
 def deficit_report(law: SystemLaw, table: CoefficientTable, *,
-                   family: str = "", cap: int = 22,
+                   family: str = "", cap: int = DEFAULT_SUBSET_CAP,
                    profile: EntropyProfile | None = None) -> DeficitReport:
     """Evaluate the deficit identity for one law and one coefficient table.
 

@@ -42,6 +42,15 @@ def test_entropy_bad_mass_exits_2(capsys, bad_mass_file):
     assert "mass" in err
 
 
+def test_entropy_nan_mass_exits_2(capsys, tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"d": 2, "N": 1, "dense": [NaN, 1.0]}')
+    code, out, err = run(capsys, "entropy", str(path))
+    assert code == 2
+    assert out == ""
+    assert "mass" in err
+
+
 def test_entropy_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "entropy", "/nonexistent/law.json")
     assert code == 2

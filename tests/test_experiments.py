@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from intricacy import (CapExceededError, coefficient_table, convergence_sweep,
-                       diagonal_law, est_measure, ic_limit, ic_n,
-                       maximizer_search, p_symmetric_measure, parse_family,
-                       profile_convergence, sample_sparse_system,
-                       simultaneity_check, threshold_census, uniform_law,
-                       uniform_measure)
+from intricacy import (CapExceededError, SystemLaw, coefficient_table,
+                       convergence_sweep, diagonal_law, est_measure,
+                       ic_limit, ic_n, intricacy_defn, maximizer_search,
+                       p_symmetric_measure, parse_family, profile_convergence,
+                       sample_sparse_system, simultaneity_check,
+                       threshold_census, uniform_law, uniform_measure)
 from intricacy.construction import ConstructionSpec
 from intricacy.experiments import (CENSUS_CSV_HEADER, SWEEP_CSV_HEADER,
-                                   ExperimentRecord)
+                                   ExperimentRecord, _intricacy_and_grad,
+                                   _subset_keys)
 
 FAMILIES = [("est", est_measure()), ("uniform", uniform_measure()),
             ("p-sym:0.3", p_symmetric_measure(0.3))]
@@ -197,6 +198,23 @@ def test_maximizer_deterministic():
     b = maximizer_search(2, 2, table, restarts=3, iterations=50, seed=9)
     assert a.intricacy == b.intricacy
     assert np.array_equal(a.law.table, b.law.table)
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 2), (2, 4), (3, 2), (3, 3)])
+def test_intricacy_and_grad_value_and_gradient(d, N):
+    table = coefficient_table(est_measure(), N)
+    p = np.random.default_rng(17 * d + N).dirichlet(np.ones(d**N))
+    keys = _subset_keys(d, N)
+    value, grad = _intricacy_and_grad(p.reshape((d,) * N), table.c, keys)
+    assert value == pytest.approx(
+        intricacy_defn(SystemLaw.dense(d, N, p), table), abs=1e-12)
+    h = 1e-6
+    for x in range(d**N):
+        e = np.zeros(d**N)
+        e[x] = h
+        up, _ = _intricacy_and_grad((p + e).reshape((d,) * N), table.c, keys)
+        down, _ = _intricacy_and_grad((p - e).reshape((d,) * N), table.c, keys)
+        assert grad.ravel()[x] == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
 
 def test_maximizer_caps():

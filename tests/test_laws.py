@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import intricacy as it
+from intricacy import laws
 from intricacy import (CapExceededError, LawValidationError, SystemLaw,
                        all_subset_entropies, conditional_entropy,
                        diagonal_law, entropy, entropy_profile_exact,
@@ -48,6 +49,14 @@ def test_mass_off_by_too_much_rejected():
 def test_mass_within_tolerance_renormalized():
     law = SystemLaw.dense(2, 1, [0.5 + 4e-10, 0.5])
     assert float(law.table.sum()) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_mass_rejected(bad):
+    with pytest.raises(LawValidationError):
+        SystemLaw.dense(2, 1, [bad, 1.0])
+    with pytest.raises(LawValidationError):
+        SystemLaw.sparse(2, 1, [[0], [1]], [bad, 1.0])
 
 
 def test_duplicate_sparse_support_rejected():
@@ -237,6 +246,43 @@ def test_brute_force_equivalence(rng):
             prof = entropy_profile_exact(law)
             assert np.allclose(prof.values, naive_profile(pmap, N, d),
                                atol=1e-12)
+
+
+@given(d=st.sampled_from([2, 3, 5]), N=st.integers(0, 5),
+       sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_kernel_paths_match_oracle(d, N, sparse, seed):
+    gen = np.random.default_rng(seed)
+    if sparse:
+        size = int(gen.integers(1, min(d**N, 40) + 1))
+        idx = gen.choice(d**N, size=size, replace=False)
+        configs = laws._decode_indices(idx, d, N)
+        law = SystemLaw.sparse(d, N, configs, gen.dirichlet(np.ones(size)))
+    else:
+        law = random_dense_law(gen, d, N)
+    pmap = naive_pmap(law)
+    want = [naive_subset_entropy(pmap, tuple(i for i in range(N) if (m >> i) & 1))
+            for m in range(1 << N)]
+    for path in (laws._lattice_entropies, laws._sorted_entropies):
+        assert np.allclose(path(law), want, rtol=0.0, atol=1e-12), path.__name__
+
+
+def _kernel_path(monkeypatch, law):
+    chosen = []
+    for name in ("_lattice_entropies", "_sorted_entropies"):
+        monkeypatch.setattr(laws, name, lambda law, name=name: chosen.append(name))
+    all_subset_entropies(law)
+    return chosen
+
+
+def test_kernel_selection_dense_uses_lattice(monkeypatch):
+    law = random_dense_law(np.random.default_rng(0), 2, 8)
+    assert _kernel_path(monkeypatch, law) == ["_lattice_entropies"]
+
+
+def test_kernel_selection_sparse_construction_uses_sort(monkeypatch):
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 16, 8, 0))
+    assert _kernel_path(monkeypatch, law) == ["_sorted_entropies"]
 
 
 # --- hypothesis property tests ----------------------------------------------

@@ -19,7 +19,8 @@ from .laws import (CapExceededError, EntropyProfile, LawValidationError,
                    entropy_profile_sampled, full_mask, indices_to_mask,
                    marginal, mask_to_indices, mutual_information,
                    permute_coordinates, point_mass, product_law,
-                   relabel_symbols, subset_entropy, uniform_law)
+                   relabel_symbols, subset_entropies, subset_entropy,
+                   uniform_law)
 from .profiles import (DeficitReport, deficit_report, g_functional, ic_limit,
                        ic_n, ideal_profile, intricacy_defn,
                        intricacy_from_profile, profile_norm)

@@ -82,8 +82,7 @@ def cmd_intricacy(args) -> int:
         print(f"N={law.N} exceeds the subset cap {args.cap_subsets}; "
               "rerun with --sampled or raise --cap-subsets", file=sys.stderr)
         return EXIT_CAP
-    from .laws import entropy_profile_exact as _exact
-    profile = _exact(law, cap=args.cap_subsets)
+    profile = entropy_profile_exact(law, cap=args.cap_subsets)
     reports = [deficit_report(law, coefficient_table(measure, law.N),
                               family=name, profile=profile)
                for name, measure in _families(args.families)]
@@ -133,8 +132,7 @@ def cmd_construct(args) -> int:
     law = sample_sparse_system(spec, cap=args.cap_support)
     x_n = entropy(law) / (law.N * math.log(law.d))
     with _out_stream(args) as out:
-        json.dump(law.to_json_dict(), out)
-        out.write("\n")
+        out.write(json.dumps(law.to_json_dict()) + "\n")
     print(f"d={spec.d} N={spec.N} M={spec.M} seed={spec.seed} "
           f"support={law.support_size} x_N={x_n!r}", file=sys.stderr)
     return 0
@@ -216,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker pool size (output is order-independent)")
         p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
         p.add_argument("--cap-support", type=int, default=DEFAULT_SUPPORT_CAP)
 

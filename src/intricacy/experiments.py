@@ -19,8 +19,8 @@ from .construction import (ConstructionSpec, m_from_target,
                            sample_sparse_system)
 from .laws import (DEFAULT_SUBSET_CAP, CapExceededError, EntropyProfile,
                    SystemLaw, _popcounts, entropy, entropy_profile_exact,
-                   subset_entropy)
-from .profiles import g_functional, ic_limit, ic_n, ideal_profile, profile_norm
+                   subset_entropies)
+from .profiles import deficit_report, ic_limit, ic_n, ideal_profile
 from .rng import SplitMix64
 
 SWEEP_CSV_HEADER = ("family,d,N,M,seed,x_N,I_N,icn_at_xN,deficit,"
@@ -54,20 +54,20 @@ class ExperimentRecord:
                 f"{self.deficit!r},{self.sup_profile_gap!r}")
 
 
-def _record_for(profile: EntropyProfile, family: str,
+def _record_for(law: SystemLaw, profile: EntropyProfile, family: str,
                 table: CoefficientTable, spec: ConstructionSpec,
                 target_x: float) -> ExperimentRecord:
-    x_n = min(max(float(profile.values[-1]), 0.0), 1.0)
+    report = deficit_report(law, table, profile=profile)
     return ExperimentRecord(
         family=family,
         d=spec.d,
         N=spec.N,
         M=spec.M,
         seed=spec.seed,
-        x_N=x_n,
-        I_N=g_functional(profile, table),
-        icn_at_xN=ic_n(x_n, table),
-        deficit=2.0 * profile_norm(profile, ideal_profile(x_n, spec.N), table),
+        x_N=report.x,
+        I_N=report.normalized_intricacy,
+        icn_at_xN=report.icn_x,
+        deficit=report.deficit,
         sup_profile_gap=float(np.max(np.abs(
             profile.values - ideal_profile(target_x, spec.N).values))),
     )
@@ -96,7 +96,8 @@ def convergence_sweep(families, d: int, x: float, N_list, seeds, *,
             if keep_profiles:
                 profiles[(N, seed)] = profile
             for name, _ in families:
-                records.append(_record_for(profile, name, tables[name], spec, x))
+                records.append(
+                    _record_for(law, profile, name, tables[name], spec, x))
     records.sort(key=lambda r: (r.family, r.N, r.seed))
     if keep_profiles:
         return records, profiles
@@ -167,14 +168,9 @@ def threshold_census(law: SystemLaw, x: float, y: float, epsilon: float,
     else:
         rng = SplitMix64(seed)
         masks = [rng.sample_subset_mask(N, k) for _ in range(samples)]
-    n_uniform = 0
-    n_determining = 0
-    for mask in masks:
-        h_s = subset_entropy(law, mask)
-        if h_s > uniform_cut:
-            n_uniform += 1
-        if h_full - h_s < determine_cut:
-            n_determining += 1
+    h_s = subset_entropies(law, masks)
+    n_uniform = int(np.count_nonzero(h_s > uniform_cut))
+    n_determining = int(np.count_nonzero(h_full - h_s < determine_cut))
     n = len(masks)
     fu, fd = n_uniform / n, n_determining / n
     return CensusReport(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.special import entr
@@ -18,6 +19,8 @@ from scipy.special import entr
 from .rng import SplitMix64
 
 MASS_TOL = 1e-9
+# Rounding error of numpy's pairwise sum over a normalized table, with room.
+SUM_ROUNDING = 64 * np.finfo(float).eps
 DEFAULT_SUBSET_CAP = 22
 
 
@@ -123,8 +126,8 @@ class SystemLaw:
             "d": self.d,
             "N": self.N,
             "support": [
-                {"config": [int(s) for s in cfg], "p": float(p)}
-                for cfg, p in zip(self.configs, self.probs)
+                {"config": cfg, "p": p}
+                for cfg, p in zip(self.configs.tolist(), self.probs.tolist())
             ],
         }
 
@@ -165,7 +168,12 @@ def _normalized(p: np.ndarray) -> np.ndarray:
     if abs(total - 1.0) > MASS_TOL:
         raise LawValidationError(
             f"total mass {total!r} differs from 1 beyond tolerance {MASS_TOL}")
-    return p / total
+    # A table that already sums to 1 up to the rounding of the sum itself is
+    # kept as it is, so normalizing twice (e.g. across a JSON round trip)
+    # changes no bit.
+    if abs(total - 1.0) > SUM_ROUNDING:
+        return p / total
+    return p.copy()
 
 
 def _decode_indices(idx: np.ndarray, d: int, N: int) -> np.ndarray:
@@ -272,7 +280,7 @@ def marginal(law: SystemLaw, mask: int) -> SystemLaw:
 
 
 def subset_entropy(law: SystemLaw, mask: int) -> float:
-    return entropy(marginal(law, mask))
+    return float(subset_entropies(law, [mask])[0])
 
 
 def mutual_information(law: SystemLaw, mask: int) -> float:
@@ -281,7 +289,8 @@ def mutual_information(law: SystemLaw, mask: int) -> float:
     comp = full_mask(law.N) ^ mask
     if mask == 0 or comp == 0:
         return 0.0
-    return subset_entropy(law, mask) + subset_entropy(law, comp) - entropy(law)
+    h_s, h_comp = subset_entropies(law, [mask, comp])
+    return float(h_s + h_comp) - entropy(law)
 
 
 def conditional_entropy(law: SystemLaw, mask: int) -> float:
@@ -309,49 +318,102 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
     K is (n_masks, n_support); row j holds the projected-configuration key
     of each support point under mask j.  Key and support index are packed
-    into one integer so a single radix sort orders every row.
+    into one integer so a single radix sort orders every row; keys too wide
+    to pack into 63 bits are ordered by an argsort instead.
     """
     m, n = K.shape
     shift = max((n - 1).bit_length(), 1)
-    kmax = int(K.max()) if K.size else 0
-    dtype = np.uint32 if (kmax << shift) | (n - 1) < 2**32 else np.int64
-    comb = (K.astype(dtype) << dtype(shift)) | np.arange(n, dtype=dtype)
-    comb = np.sort(comb, axis=1)
-    Ks = comb >> dtype(shift)
-    Ps = probs[(comb & dtype((1 << shift) - 1)).astype(np.intp)]
+    packed = (int(K.max()) << shift) | (n - 1)
+    if packed < 2**63:
+        dtype = np.uint32 if packed < 2**32 else np.uint64
+        comb = K.astype(dtype)
+        comb <<= dtype(shift)
+        comb |= np.arange(n, dtype=dtype)
+        comb.sort(axis=1)
+        Ks = comb >> dtype(shift)
+        order = np.bitwise_and(comb, dtype((1 << shift) - 1), out=comb)
+    else:
+        order = np.argsort(K, axis=1)
+        Ks = np.take_along_axis(K, order, axis=1)
     starts = np.empty((m, n), dtype=bool)
     starts[:, 0] = True
     np.not_equal(Ks[:, 1:], Ks[:, :-1], out=starts[:, 1:])
-    sf = starts.ravel()
-    grp = np.cumsum(sf) - 1
-    sums = np.bincount(grp, weights=Ps.ravel())
-    rows = np.repeat(np.arange(m), n)[sf]
-    contrib = -sums * np.log(sums)
-    return np.bincount(rows, weights=contrib, minlength=m)
+    firsts = np.flatnonzero(starts)
+    sums = np.add.reduceat(probs[order].ravel(), firsts)
+    entr(sums, out=sums)
+    # reduceat sums each segment pairwise; row j's groups are one segment
+    return np.add.reduceat(sums, np.searchsorted(firsts, np.arange(m) * n))
+
+
+def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
+    """Sort path of :func:`subset_entropies` for an int64 array of masks."""
+    N, d = law.N, law.d
+    configs, probs = law.support()
+    if d == 2:
+        word = np.uint64 if N > 32 else np.uint32
+        pts = configs.astype(word) @ (word(1) << np.arange(N, dtype=word))
+
+        def keys(ms):
+            return ms.astype(word)[:, None] & pts
+    else:
+        keyed = configs.astype(np.int64) * d ** np.arange(N, dtype=np.int64)
+        coords = np.arange(N, dtype=np.int64)
+
+        def keys(ms):
+            return ((ms[:, None] >> coords) & 1) @ keyed.T
+    out = np.empty(masks.size)
+    chunk = min(4096, max(1, 2**20 // probs.size))
+    for start in range(0, masks.size, chunk):
+        ms = masks[start:start + chunk]
+        out[start:start + ms.size] = _grouped_entropies(keys(ms), probs)
+    return out
+
+
+def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
+    """H(X_S) in nats for every mask S in ``masks`` (any integer array;
+    repeats and any order allowed), in the shape of ``masks``.
+
+    The support is keyed once per call.  The key of a support point x under
+    mask S identifies its projection onto S: for d = 2, the bits of x packed
+    into one integer (uint32, or uint64 when N > 32) and-ed with S; for
+    d > 2, sum of x_i d^i over i in S, i.e. ``bits(S) @ keyed.T`` with
+    ``keyed[x, i] = x_i d^i``.  Masks are then processed
+    ``min(4096, max(1, 2**20 // support))`` at a time, so at most ~2^20
+    keys are held per chunk whatever the support.  Each row of keys is
+    sorted with the support index packed into its low bits (or argsorted
+    when that would not fit in 63 bits), equal keys are summed, and each
+    row's -p log p terms are added by ``np.add.reduceat``, which sums every
+    segment pairwise: the error stays near 1e-15 nats at a support of 65k
+    points, where a sequential sum misses by ~1e-11.
+
+    A dense law instead takes the marginal of each mask by summing its
+    table over the other axes, which is cheaper than sorting a d^N support
+    for a few masks.  The empty mask has entropy exactly 0.  Raises
+    ``IndexError`` for a mask outside 0..2^N - 1.
+    """
+    N, d = law.N, law.d
+    try:
+        masks = np.asarray(masks, dtype=np.int64)
+    except OverflowError:
+        raise IndexError(f"a mask references coordinates >= N={N}") from None
+    flat = masks.ravel()
+    if np.any(flat < 0) or (N < 63 and np.any(flat >> N)):
+        raise IndexError(f"a mask references coordinates >= N={N}")
+    if law.kind == "dense":
+        shaped = law.table.reshape((d,) * N)
+        out = np.empty(flat.size)
+        for j, mask in enumerate(flat.tolist()):
+            drop = tuple(i for i in range(N) if not (mask >> i) & 1)
+            out[j] = entr(shaped.sum(axis=drop)).sum()
+    else:
+        out = _keyed_entropies(law, flat)
+    out[flat == 0] = 0.0
+    return out.reshape(masks.shape) + 0.0
 
 
 def _sorted_entropies(law: SystemLaw) -> np.ndarray:
-    """Sort path of :func:`all_subset_entropies`: group the support by its
-    projected key, ``chunk`` masks at a time."""
-    N, d = law.N, law.d
-    chunk = 4096
-    configs, probs = law.support()
-    total = 1 << N
-    out = np.empty(total)
-    if d == 2:
-        pts = (configs.astype(np.uint32) @ (1 << np.arange(N, dtype=np.uint32)))
-        for start in range(0, total, chunk):
-            ms = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-            K = ms[:, None] & pts[None, :]
-            out[start:start + ms.size] = _grouped_entropies(K, probs)
-    else:
-        keyed = configs.astype(np.int64) * (d ** np.arange(N, dtype=np.int64))
-        for start in range(0, total, chunk):
-            ms = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            bits = ((ms[:, None] >> np.arange(N, dtype=np.int64)[None, :]) & 1)
-            K = bits @ keyed.T
-            out[start:start + ms.size] = _grouped_entropies(K, probs)
-    return out
+    """Sort path of :func:`all_subset_entropies`."""
+    return _keyed_entropies(law, np.arange(1 << law.N))
 
 
 def _lattice_entropies(law: SystemLaw) -> np.ndarray:
@@ -389,9 +451,10 @@ def all_subset_entropies(law: SystemLaw, *,
       the marginal of S, walking the subset lattice once: (d+1)^N work and
       at most ~2 d^N floats held at a time (a sparse law is first scattered
       into its d^N table);
-    - the *sort* path groups the support by its projected configuration,
-      mask by mask: about 2^N * support * log(support) work and memory
-      for 4096 masks x support keys at a time.
+    - the *sort* path (the one :func:`subset_entropies` uses) groups the
+      support by its projected configuration, mask by mask: about
+      2^N * support * log(support) work and at most ~2^20 keys in memory
+      at a time.
 
     The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
     high-support laws; the sort path otherwise, e.g. for the sparse
@@ -426,9 +489,6 @@ class EntropyProfile:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.size != self.N + 1:
             raise ValueError("profile needs N+1 values")
-
-    def value_at(self, k: int) -> float:
-        return float(self.values[k])
 
     def validate(self, tol: float = 1e-9) -> None:
         """Check membership in Gamma: h(0)=0, nondecreasing, increments
@@ -470,19 +530,23 @@ def entropy_profile_sampled(law: SystemLaw, sizes, samples_per_size: int,
     stderr = np.full(N + 1, np.nan)
     values[0], stderr[0] = 0.0, 0.0
     rng = SplitMix64(seed)
-    for k in sorted(set(int(s) for s in sizes)):
+    ks = sorted(set(int(s) for s in sizes))
+    for k in ks:
         if not 0 <= k <= N:
             raise IndexError(f"subset size {k} outside 0..{N}")
-        if k == 0:
-            continue
-        if exhaustive:
-            from itertools import combinations
-            hs = [subset_entropy(law, indices_to_mask(c))
-                  for c in combinations(range(N), k)]
-        else:
-            hs = [subset_entropy(law, rng.sample_subset_mask(N, k))
-                  for _ in range(samples_per_size)]
-        hs = np.asarray(hs) / norm
+    ks = [k for k in ks if k > 0]
+    # one batch of masks, drawn size by size in the same stream order
+    if exhaustive:
+        groups = [[indices_to_mask(c) for c in combinations(range(N), k)]
+                  for k in ks]
+    else:
+        groups = [[rng.sample_subset_mask(N, k) for _ in range(samples_per_size)]
+                  for k in ks]
+    H = subset_entropies(law, [m for g in groups for m in g])
+    start = 0
+    for k, g in zip(ks, groups):
+        hs = H[start:start + len(g)] / norm
+        start += len(g)
         values[k] = hs.mean()
         stderr[k] = hs.std(ddof=1) / math.sqrt(hs.size) if hs.size > 1 else 0.0
     return EntropyProfile(N, values, stderr)

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from intricacy import diagonal_law, product_law, uniform_law
+from intricacy import (ConstructionSpec, diagonal_law, product_law,
+                       sample_sparse_system, uniform_law)
 from intricacy.cli import main
 from intricacy.experiments import CENSUS_CSV_HEADER, SWEEP_CSV_HEADER
 
@@ -49,6 +50,12 @@ def test_entropy_nan_mass_exits_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "mass" in err
+
+
+def test_threads_flag_is_gone(diagonal_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["entropy", diagonal_file, "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_entropy_missing_file_exits_2(capsys):
@@ -172,6 +179,21 @@ def test_construct_deterministic_files(capsys, tmp_path):
     obj = json.loads(a.read_text())
     assert obj["d"] == 2 and obj["N"] == 10
     assert len(obj["support"]) <= 32
+
+
+@pytest.mark.parametrize("d,N,M", [(2, 10, 5), (3, 6, 3)])
+def test_construct_file_bytes_match_explicit_casts(capsys, tmp_path, d, N, M):
+    dest = tmp_path / "law.json"
+    code, _, _ = run(capsys, "construct", "--d", str(d), "--N", str(N),
+                     "--M", str(M), "--seed", "11", "--out", str(dest))
+    assert code == 0
+    law = sample_sparse_system(ConstructionSpec(d, N, M, 11))
+    want = json.dumps({
+        "d": d, "N": N,
+        "support": [{"config": [int(s) for s in cfg], "p": float(p)}
+                    for cfg, p in zip(law.configs, law.probs)],
+    }) + "\n"
+    assert dest.read_text() == want
 
 
 def test_construct_x_flag(capsys, tmp_path):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from intricacy import (CapExceededError, SystemLaw, coefficient_table,
-                       convergence_sweep, diagonal_law, est_measure,
-                       ic_limit, ic_n, intricacy_defn, maximizer_search,
-                       p_symmetric_measure, parse_family, profile_convergence,
-                       sample_sparse_system, simultaneity_check,
-                       threshold_census, uniform_law, uniform_measure)
+                       convergence_sweep, deficit_report, diagonal_law,
+                       est_measure, ic_limit, ic_n, intricacy_defn,
+                       maximizer_search, p_symmetric_measure, parse_family,
+                       profile_convergence, sample_sparse_system,
+                       simultaneity_check, threshold_census, uniform_law,
+                       uniform_measure)
 from intricacy.construction import ConstructionSpec
 from intricacy.experiments import (CENSUS_CSV_HEADER, SWEEP_CSV_HEADER,
                                    ExperimentRecord, _intricacy_and_grad,
@@ -59,6 +60,20 @@ def test_record_bound_gap_control(small_sweep):
     for r in records:
         lim = ic_limit(r.x_N, measures[r.family])
         assert abs(r.icn_at_xN - lim) <= 0.5 / math.sqrt(r.N) + 1e-12
+
+
+def test_record_fields_are_the_deficit_report(small_sweep):
+    records, profiles = small_sweep
+    tables = {(name, N): coefficient_table(measure, N)
+              for name, measure in FAMILIES for N in (6, 8)}
+    for r in records:
+        law = sample_sparse_system(ConstructionSpec(2, r.N, r.M, r.seed))
+        rep = deficit_report(law, tables[(r.family, r.N)],
+                             profile=profiles[(r.N, r.seed)])
+        assert r.x_N == rep.x
+        assert r.I_N == rep.normalized_intricacy
+        assert r.icn_at_xN == rep.icn_x
+        assert r.deficit == rep.deficit
 
 
 def test_csv_row_roundtrip(small_sweep):

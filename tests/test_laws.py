@@ -248,18 +248,24 @@ def test_brute_force_equivalence(rng):
                                atol=1e-12)
 
 
+def _random_law(gen, d, N, sparse):
+    if not sparse:
+        return random_dense_law(gen, d, N)
+    size = int(gen.integers(1, min(d**N, 40) + 1))
+    idx = gen.choice(d**N, size=size, replace=False)
+    configs = laws._decode_indices(idx, d, N)
+    return SystemLaw.sparse(d, N, configs, gen.dirichlet(np.ones(size)))
+
+
+def _keep(mask, N):
+    return tuple(i for i in range(N) if (mask >> i) & 1)
+
+
 @given(d=st.sampled_from([2, 3, 5]), N=st.integers(0, 5),
        sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_kernel_paths_match_oracle(d, N, sparse, seed):
-    gen = np.random.default_rng(seed)
-    if sparse:
-        size = int(gen.integers(1, min(d**N, 40) + 1))
-        idx = gen.choice(d**N, size=size, replace=False)
-        configs = laws._decode_indices(idx, d, N)
-        law = SystemLaw.sparse(d, N, configs, gen.dirichlet(np.ones(size)))
-    else:
-        law = random_dense_law(gen, d, N)
+    law = _random_law(np.random.default_rng(seed), d, N, sparse)
     pmap = naive_pmap(law)
     want = [naive_subset_entropy(pmap, tuple(i for i in range(N) if (m >> i) & 1))
             for m in range(1 << N)]
@@ -273,6 +279,95 @@ def _kernel_path(monkeypatch, law):
         monkeypatch.setattr(laws, name, lambda law, name=name: chosen.append(name))
     all_subset_entropies(law)
     return chosen
+
+
+@given(d=st.sampled_from([2, 3, 5]), N=st.integers(0, 5),
+       sparse=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       count=st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_subset_entropies_match_oracle(d, N, sparse, seed, count):
+    gen = np.random.default_rng(seed)
+    law = _random_law(gen, d, N, sparse)
+    # unsorted, with repeats, always holding the empty and the full mask
+    drawn = gen.integers(0, 1 << N, size=count)
+    masks = gen.permutation(np.concatenate(
+        [drawn, drawn[:count // 2], [0, full_mask(N)]]))
+    pmap = naive_pmap(law)
+    want = [naive_subset_entropy(pmap, _keep(int(m), N)) for m in masks]
+    got = laws.subset_entropies(law, masks)
+    assert got.shape == masks.shape
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.all(got[masks == 0] == 0.0)
+
+
+@pytest.mark.parametrize("N", [40, 60])
+def test_subset_entropies_wide_keys(N):
+    # N=40 packs its bit keys into uint64; at N=60 key and support index
+    # no longer fit in 63 bits together, so rows are argsorted instead
+    gen = np.random.default_rng(N)
+    configs = gen.integers(0, 2, size=(24, N), dtype=np.uint8)
+    configs[:8, : N // 2] = 0           # shared halves make real groups
+    configs = np.unique(configs, axis=0)
+    law = SystemLaw.sparse(2, N, configs, gen.dirichlet(np.ones(len(configs))))
+    masks = np.array([int(gen.integers(0, 2**62)) & full_mask(N)
+                      for _ in range(10)] + [full_mask(N), 1 << (N - 1), 0],
+                     dtype=np.int64)
+    pmap = naive_pmap(law)
+    want = [naive_subset_entropy(pmap, _keep(int(m), N)) for m in masks]
+    assert np.allclose(laws.subset_entropies(law, masks), want,
+                       rtol=0.0, atol=1e-12)
+
+
+def test_subset_entropies_large_support_matches_fsum():
+    # 65k support points: the row sum of -p log p must stay within 1e-12
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77))
+    stream = it.SplitMix64(5)
+    masks = [stream.sample_subset_mask(22, k) for k in range(1, 21)]
+    configs, probs = law.support()
+    for mask, got in zip(masks, laws.subset_entropies(law, masks)):
+        keep = list(_keep(mask, 22))
+        key = configs[:, keep].astype(np.int64) @ (1 << np.arange(len(keep)))
+        _, inv = np.unique(key, return_inverse=True)
+        marg = np.bincount(inv, weights=probs)
+        want = math.fsum(-p * math.log(p) for p in marg.tolist())
+        assert abs(got - want) <= 1e-12, (mask, got, want)
+
+
+def test_subset_entropies_out_of_range_masks():
+    law = diagonal_law(2, 2)
+    for bad in (0b100, -1, 2**70):
+        with pytest.raises(IndexError):
+            laws.subset_entropies(law, [0, bad])
+    with pytest.raises(IndexError):
+        subset_entropy(law, 0b100)
+    with pytest.raises(IndexError):
+        mutual_information(law, 0b101)
+
+
+def test_sampled_routes_do_not_build_marginals(monkeypatch):
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 10, 5, 3))
+
+    def refuse(*_):
+        raise AssertionError("marginal() called")
+
+    monkeypatch.setattr(laws, "marginal", refuse)
+    pmap = naive_pmap(law)
+
+    def oracle(stream, k, count):
+        masks = [stream.sample_subset_mask(10, k) for _ in range(count)]
+        return [naive_subset_entropy(pmap, _keep(m, 10)) for m in masks]
+
+    prof = entropy_profile_sampled(law, [7, 2, 9], 5, seed=8)
+    stream = it.SplitMix64(8)
+    for k in (2, 7, 9):
+        want = np.mean(oracle(stream, k, 5)) / (10 * LOG2)
+        assert prof.values[k] == pytest.approx(want, abs=1e-12)
+    rep = it.threshold_census(law, x=0.5, y=0.3, epsilon=0.2, samples=40, seed=4)
+    hs = oracle(it.SplitMix64(4), 3, 40)
+    assert rep.fraction_near_uniform == np.mean(
+        [h > 0.8 * 3 * LOG2 for h in hs])
+    assert rep.fraction_determining == np.mean(
+        [entropy(law) - h < 0.2 * 0.5 * 10 * LOG2 for h in hs])
 
 
 def test_kernel_selection_dense_uses_lattice(monkeypatch):
@@ -345,6 +440,19 @@ def test_json_roundtrip_dense(rng):
     back = SystemLaw.from_json(law.to_json())
     assert back.kind == "dense"
     assert np.array_equal(back.table, law.table)
+
+
+def test_normalization_has_a_fixed_point():
+    gen = np.random.default_rng(20261018)
+    for _ in range(200):
+        d = int(gen.integers(2, 5))
+        N = int(gen.integers(1, {2: 12, 3: 7, 4: 6}[d] + 1))   # d^N <= 4096
+        p = gen.dirichlet(np.ones(d**N))
+        once = laws._normalized(p)
+        assert np.array_equal(laws._normalized(once), once)
+        law = SystemLaw.dense(d, N, p)
+        back = SystemLaw.from_json(law.to_json())
+        assert back.table.tobytes() == law.table.tobytes()
 
 
 def test_json_schema_fields():

@@ -55,8 +55,6 @@ def cmd_entropy(args) -> int:
 def cmd_profile(args) -> int:
     law = _load_law(args.law)
     if args.sampled:
-        if args.seed is None:
-            raise SystemExit("--seed is required with --sampled")
         sizes = range(law.N + 1)
         prof = entropy_profile_sampled(law, sizes, args.samples, args.seed)
     else:
@@ -78,10 +76,6 @@ def cmd_profile(args) -> int:
 
 def cmd_intricacy(args) -> int:
     law = _load_law(args.law)
-    if law.N > args.cap_subsets and not args.sampled:
-        print(f"N={law.N} exceeds the subset cap {args.cap_subsets}; "
-              "rerun with --sampled or raise --cap-subsets", file=sys.stderr)
-        return EXIT_CAP
     profile = entropy_profile_exact(law, cap=args.cap_subsets)
     reports = [deficit_report(law, coefficient_table(measure, law.N),
                               family=name, profile=profile)
@@ -121,8 +115,6 @@ def cmd_coeffs(args) -> int:
 
 
 def _spec_from_args(args) -> ConstructionSpec:
-    if (args.M is None) == (args.x is None):
-        raise SystemExit("exactly one of --M and --x is required")
     M = args.M if args.M is not None else m_from_target(args.x, args.N)
     return ConstructionSpec(args.d, args.N, M, args.seed)
 
@@ -210,16 +202,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Intricacy functionals of finite discrete systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
+    def output(p, fmt=True):
         p.add_argument("--out", default="-", help="output path ('-' = stdout)")
         if fmt:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
+
+    def construction(p):
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--N", type=int, required=True)
+        size = p.add_mutually_exclusive_group(required=True)
+        size.add_argument("--M", type=int)
+        size.add_argument("--x", type=float)
+        p.add_argument("--seed", type=int, required=True)
         p.add_argument("--cap-support", type=int, default=DEFAULT_SUPPORT_CAP)
 
     p = sub.add_parser("entropy", help="entropy of a law file")
     p.add_argument("law")
-    common(p)
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("profile", help="entropy profile of a law file")
@@ -227,29 +225,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampled", action="store_true")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int)
-    common(p)
+    output(p)
+    p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("intricacy", help="deficit report per family")
     p.add_argument("law")
     p.add_argument("--families", default="est")
-    p.add_argument("--sampled", action="store_true")
-    common(p)
+    output(p)
+    p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_intricacy)
 
     p = sub.add_parser("coeffs", help="coefficient table of a family")
     p.add_argument("--family", required=True)
     p.add_argument("--N", type=int, required=True)
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("construct", help="sample a sparse random system")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int)
-    p.add_argument("--x", type=float)
-    p.add_argument("--seed", type=int, required=True)
-    common(p, fmt=False)
+    construction(p)
+    output(p, fmt=False)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("sweep", help="convergence sweep CSV")
@@ -258,21 +253,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--N", required=True, help="e.g. 8..16 or 8,12,16")
     p.add_argument("--seeds", required=True, help="e.g. 0..19")
-    common(p)
+    output(p, fmt=False)
+    p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("census", help="threshold census on a construction")
     p.add_argument("--family", default="est")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--M", type=int)
-    p.add_argument("--x", type=float)
-    p.add_argument("--seed", type=int, required=True)
+    construction(p)
     p.add_argument("--census-seed", type=int, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--samples", type=int, default=1000)
-    common(p)
+    output(p, fmt=False)
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("maximize", help="stochastic maximizer search")
@@ -284,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--x", type=float, help="optional entropy target")
     p.add_argument("--penalty", type=float, default=20.0)
-    common(p)
+    output(p, fmt=False)
     p.set_defaults(func=cmd_maximize)
 
     return parser
@@ -293,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "profile" and args.sampled and args.seed is None:
+        parser.error("--seed is required with --sampled")
     try:
         return args.func(args)
     except CapExceededError as exc:

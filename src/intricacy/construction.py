@@ -19,7 +19,7 @@ from scipy import stats
 
 from .coefficients import CoefficientTable, coefficient_table
 from .laws import (DEFAULT_SUBSET_CAP, CapExceededError, EntropyProfile,
-                   SystemLaw, entropy_profile_exact)
+                   SystemLaw, _group_rows, entropy_profile_exact)
 from .profiles import g_functional
 from .rng import SplitMix64
 
@@ -58,22 +58,19 @@ def sample_sparse_system(spec: ConstructionSpec, *,
 
     Each configuration is drawn coordinate by coordinate (coordinate 1
     first) with one bounded splitmix64 draw per symbol, so the output is a
-    byte-exact function of the spec.  Colliding draws accumulate weight.
+    byte-exact function of the spec.  Each distinct drawn row gets mass
+    (number of draws) / d^M.
     """
     d, N, M = spec.d, spec.N, spec.M
     draws = d**M
     if draws > cap:
         raise CapExceededError(
             f"d^M = {draws} exceeds the support cap {cap}")
-    rng = SplitMix64(spec.seed)
-    counts: dict[tuple[int, ...], int] = {}
-    for _ in range(draws):
-        cfg = tuple(rng.randbelow(d) for _ in range(N))
-        counts[cfg] = counts.get(cfg, 0) + 1
-    configs = np.array(sorted(counts), dtype=np.uint8).reshape(-1, N)
-    probs = np.array([counts[tuple(int(s) for s in c)] for c in configs],
-                     dtype=float) / draws
-    return SystemLaw.sparse(d, N, configs, probs)
+    randbelow = SplitMix64(spec.seed).randbelow
+    rows = np.fromiter((randbelow(d) for _ in range(draws * N)),
+                       dtype=np.uint8, count=draws * N).reshape(draws, N)
+    configs, counts = _group_rows(rows, np.ones(draws))
+    return SystemLaw.sparse(d, N, configs, counts / draws)
 
 
 def _phi(x: np.ndarray, d: int) -> np.ndarray:

@@ -50,9 +50,19 @@ def indices_to_mask(indices) -> int:
     return mask
 
 
-def _radix(d: int, N: int) -> np.ndarray:
-    # coordinate 1 (index 0) is the most significant digit
-    return d ** np.arange(N - 1, -1, -1, dtype=np.int64)
+def _group_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (n, N) uint8 array in lexicographic order,
+    coordinate 1 first, and the summed weight of each.  Rows are compared
+    symbol by symbol, so nothing overflows whatever d^N is."""
+    n, N = rows.shape
+    # lexsort's last key is the primary one
+    order = np.lexsort(rows.T[::-1]) if N else np.arange(n)
+    rows = rows[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+    firsts = np.flatnonzero(starts)
+    return rows[firsts], np.add.reduceat(weights[order], firsts)
 
 
 @dataclass(frozen=True)
@@ -83,14 +93,17 @@ class SystemLaw:
             raise LawValidationError(
                 f"dense table must have d^N = {d**N} entries, got {table.size}")
         table = _normalized(table)
-        idx = np.flatnonzero(table)
-        configs = _decode_indices(idx, d, N)
-        law = SystemLaw(d, N, "dense", configs, table[idx], table)
+        # nonzero cells in C order: lexicographic, coordinate 1 first
+        configs = np.argwhere(table.reshape((d,) * N)).astype(np.uint8)
+        law = SystemLaw(d, N, "dense", configs, table[table > 0], table)
         _freeze(law)
         return law
 
     @staticmethod
     def sparse(d: int, N: int, configs, probs) -> "SystemLaw":
+        """Law on the given support rows, stored in lexicographic order,
+        coordinate 1 first (the order of law files), without its zero-mass
+        rows.  A repeated row raises :class:`LawValidationError`."""
         if d < 2:
             raise LawValidationError("alphabet size d must be >= 2")
         if N < 0:
@@ -100,12 +113,11 @@ class SystemLaw:
         if configs.size and configs.max(initial=0) >= d:
             raise LawValidationError("configuration symbol out of range")
         probs = _normalized(probs)
-        idx = configs.astype(np.int64) @ _radix(d, N)
-        if np.unique(idx).size != idx.size:
+        rows, weights = _group_rows(configs, probs)
+        if weights.size != probs.size:
             raise LawValidationError("sparse support has duplicate configurations")
-        order = np.argsort(idx)
-        keep = probs[order] > 0.0
-        law = SystemLaw(d, N, "sparse", configs[order][keep], probs[order][keep])
+        keep = weights > 0.0
+        law = SystemLaw(d, N, "sparse", rows[keep], weights[keep])
         _freeze(law)
         return law
 
@@ -136,14 +148,18 @@ class SystemLaw:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SystemLaw":
-        d, N = int(obj["d"]), int(obj["N"])
-        if "dense" in obj:
-            return SystemLaw.dense(d, N, obj["dense"])
-        if "support" not in obj:
-            raise LawValidationError("law JSON needs a 'dense' or 'support' field")
-        entries = obj["support"]
-        configs = [e["config"] for e in entries]
-        probs = [e["p"] for e in entries]
+        """Law from a parsed law file; raises :class:`LawValidationError`
+        for any malformed input."""
+        try:
+            d, N = int(obj["d"]), int(obj["N"])
+            if "dense" in obj:
+                return SystemLaw.dense(d, N, obj["dense"])
+            entries = obj["support"]
+            configs = [e["config"] for e in entries]
+            probs = [e["p"] for e in entries]
+        except (KeyError, TypeError) as exc:
+            raise LawValidationError("malformed law JSON: needs d, N and a "
+                                     f"'dense' or 'support' field ({exc!r})") from None
         return SystemLaw.sparse(d, N, np.array(configs).reshape(-1, N), probs)
 
     @staticmethod
@@ -174,15 +190,6 @@ def _normalized(p: np.ndarray) -> np.ndarray:
     if abs(total - 1.0) > SUM_ROUNDING:
         return p / total
     return p.copy()
-
-
-def _decode_indices(idx: np.ndarray, d: int, N: int) -> np.ndarray:
-    out = np.empty((idx.size, N), dtype=np.uint8)
-    rem = idx.astype(np.int64)
-    for j in range(N - 1, -1, -1):
-        out[:, j] = rem % d
-        rem //= d
-    return out
 
 
 # --- convenient constructors -------------------------------------------
@@ -243,8 +250,9 @@ def relabel_symbols(law: SystemLaw, tables) -> SystemLaw:
 
 def _scatter(law: SystemLaw) -> np.ndarray:
     """The flat d^N table of a law's support."""
-    table = np.zeros(law.d**law.N)
-    idx = law.configs.astype(np.int64) @ _radix(law.d, law.N)
+    d, N = law.d, law.N
+    table = np.zeros(d**N)     # d^N cells exist, so the flat index fits
+    idx = law.configs.astype(np.int64) @ d ** np.arange(N - 1, -1, -1)
     table[idx] = law.probs
     return table
 
@@ -272,11 +280,8 @@ def marginal(law: SystemLaw, mask: int) -> SystemLaw:
         drop = tuple(i for i in range(law.N) if i not in keep)
         out = shaped.sum(axis=drop) if drop else shaped
         return SystemLaw.dense(law.d, k, np.asarray(out).ravel())
-    sub = law.configs[:, keep]
-    idx = sub.astype(np.int64) @ _radix(law.d, k)
-    uniq, inv = np.unique(idx, return_inverse=True)
-    probs = np.bincount(inv, weights=law.probs, minlength=uniq.size)
-    return SystemLaw.sparse(law.d, k, _decode_indices(uniq, law.d, k), probs)
+    configs, probs = _group_rows(law.configs[:, keep], law.probs)
+    return SystemLaw.sparse(law.d, k, configs, probs)
 
 
 def subset_entropy(law: SystemLaw, mask: int) -> float:
@@ -318,23 +323,19 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
     K is (n_masks, n_support); row j holds the projected-configuration key
     of each support point under mask j.  Key and support index are packed
-    into one integer so a single radix sort orders every row; keys too wide
-    to pack into 63 bits are ordered by an argsort instead.
+    into one integer, which the caller guarantees fits in 63 bits, so a
+    single radix sort orders every row.
     """
     m, n = K.shape
     shift = max((n - 1).bit_length(), 1)
     packed = (int(K.max()) << shift) | (n - 1)
-    if packed < 2**63:
-        dtype = np.uint32 if packed < 2**32 else np.uint64
-        comb = K.astype(dtype)
-        comb <<= dtype(shift)
-        comb |= np.arange(n, dtype=dtype)
-        comb.sort(axis=1)
-        Ks = comb >> dtype(shift)
-        order = np.bitwise_and(comb, dtype((1 << shift) - 1), out=comb)
-    else:
-        order = np.argsort(K, axis=1)
-        Ks = np.take_along_axis(K, order, axis=1)
+    dtype = np.uint32 if packed < 2**32 else np.uint64
+    comb = K.astype(dtype)
+    comb <<= dtype(shift)
+    comb |= np.arange(n, dtype=dtype)
+    comb.sort(axis=1)
+    Ks = comb >> dtype(shift)
+    order = np.bitwise_and(comb, dtype((1 << shift) - 1), out=comb)
     starts = np.empty((m, n), dtype=bool)
     starts[:, 0] = True
     np.not_equal(Ks[:, 1:], Ks[:, :-1], out=starts[:, 1:])
@@ -346,9 +347,16 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
-    """Sort path of :func:`subset_entropies` for an int64 array of masks."""
+    """Sort path of :func:`subset_entropies` for an array of masks."""
     N, d = law.N, law.d
     configs, probs = law.support()
+    if d**N << max((probs.size - 1).bit_length(), 1) > 2**63:
+        # keys cannot share 63 bits with the support index: group the
+        # projected rows of each mask instead
+        return np.array([
+            entr(_group_rows(configs[:, mask_to_indices(mask, N)], probs)[1]).sum()
+            for mask in masks.tolist()])
+    masks = masks.astype(np.int64, copy=False)
     if d == 2:
         word = np.uint64 if N > 32 else np.uint32
         pts = configs.astype(word) @ (word(1) << np.arange(N, dtype=word))
@@ -370,8 +378,9 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
 
 
 def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
-    """H(X_S) in nats for every mask S in ``masks`` (any integer array;
-    repeats and any order allowed), in the shape of ``masks``.
+    """H(X_S) in nats for every mask S in ``masks`` (any integers, Python
+    ints up to 2^N - 1 for any N; repeats and any order allowed), in the
+    shape of ``masks``.
 
     The support is keyed once per call.  The key of a support point x under
     mask S identifies its projection onto S: for d = 2, the bits of x packed
@@ -380,24 +389,23 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     ``keyed[x, i] = x_i d^i``.  Masks are then processed
     ``min(4096, max(1, 2**20 // support))`` at a time, so at most ~2^20
     keys are held per chunk whatever the support.  Each row of keys is
-    sorted with the support index packed into its low bits (or argsorted
-    when that would not fit in 63 bits), equal keys are summed, and each
-    row's -p log p terms are added by ``np.add.reduceat``, which sums every
-    segment pairwise: the error stays near 1e-15 nats at a support of 65k
-    points, where a sequential sum misses by ~1e-11.
+    sorted with the support index packed into its low bits, equal keys are
+    summed, and each row's -p log p terms are added by ``np.add.reduceat``,
+    which sums every segment pairwise: the error stays near 1e-15 nats at a
+    support of 65k points, where a sequential sum misses by ~1e-11.
 
-    A dense law instead takes the marginal of each mask by summing its
-    table over the other axes, which is cheaper than sorting a d^N support
-    for a few masks.  The empty mask has entropy exactly 0.  Raises
-    ``IndexError`` for a mask outside 0..2^N - 1.
+    When d^N * 2^bits(support - 1) exceeds 2^63, key and support index do
+    not fit in one integer; the projected rows of each mask are then
+    grouped symbol by symbol (``_group_rows``), so the sampled routes work
+    for any N.  A dense law instead takes the marginal of each mask by
+    summing its table over the other axes, which is cheaper than sorting a
+    d^N support for a few masks.  The empty mask has entropy exactly 0.
+    Raises ``IndexError`` for a mask outside 0..2^N - 1.
     """
     N, d = law.N, law.d
-    try:
-        masks = np.asarray(masks, dtype=np.int64)
-    except OverflowError:
-        raise IndexError(f"a mask references coordinates >= N={N}") from None
+    masks = np.asarray(masks, dtype=object)
     flat = masks.ravel()
-    if np.any(flat < 0) or (N < 63 and np.any(flat >> N)):
+    if np.any((flat < 0) | (flat > full_mask(N))):
         raise IndexError(f"a mask references coordinates >= N={N}")
     if law.kind == "dense":
         shaped = law.table.reshape((d,) * N)

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import math
 
 import pytest
 
-from intricacy import (ConstructionSpec, diagonal_law, product_law,
+from intricacy import (ConstructionSpec, SystemLaw, diagonal_law, product_law,
                        sample_sparse_system, uniform_law)
 from intricacy.cli import main
 from intricacy.experiments import CENSUS_CSV_HEADER, SWEEP_CSV_HEADER
@@ -56,6 +57,60 @@ def test_threads_flag_is_gone(diagonal_file):
     with pytest.raises(SystemExit) as exc:
         main(["entropy", diagonal_file, "--threads", "2"])
     assert exc.value.code == 2
+
+
+def exit_code(capsys, argv):
+    """Exit code of ``main(argv)`` whether it returns or exits, and stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("law,argv", [
+    pytest.param({"N": 1, "dense": [0.5, 0.5]}, ["entropy"],
+                 id="law-without-d"),
+    pytest.param([0.5, 0.5], ["entropy"], id="top-level-array"),
+    pytest.param({"d": 2, "N": 1, "support": [{"p": 1.0}]}, ["entropy"],
+                 id="support-entry-without-config"),
+    pytest.param({"d": 2, "N": 1, "dense": [0.5, 0.5]},
+                 ["profile", "--sampled"], id="sampled-profile-without-seed"),
+    pytest.param(None, ["construct", "--d", "2", "--N", "6", "--seed", "1"],
+                 id="construct-without-m-or-x"),
+    pytest.param(None, ["census", "--d", "2", "--N", "6", "--M", "3",
+                        "--x", "0.5", "--seed", "1", "--census-seed", "2",
+                        "--y", "0.5", "--epsilon", "0.1"],
+                 id="census-with-m-and-x"),
+])
+def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
+    if law is not None:
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps(law))
+        argv = [argv[0], str(path), *argv[1:]]
+    code, err = exit_code(capsys, argv)
+    assert code == 2
+    assert "error" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "LAW", "--out", "x.csv"],
+    ["entropy", "LAW", "--format", "json"],
+    ["entropy", "LAW", "--cap-subsets", "4"],
+    ["entropy", "LAW", "--cap-support", "4"],
+    ["profile", "LAW", "--cap-support", "4"],
+    ["intricacy", "LAW", "--sampled"],
+    ["coeffs", "--family", "est", "--N", "2", "--cap-subsets", "4"],
+    ["sweep", "--d", "2", "--x", "0.5", "--N", "6", "--seeds", "0",
+     "--format", "json"],
+    ["maximize", "--d", "2", "--N", "2", "--seed", "0", "--format", "json"],
+], ids=lambda argv: argv[0] + [a for a in argv if a.startswith("--")][-1])
+def test_unread_flags_are_gone(capsys, diagonal_file, argv):
+    argv = [diagonal_file if a == "LAW" else a for a in argv]
+    code, err = exit_code(capsys, argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 def test_entropy_missing_file_exits_2(capsys):
@@ -134,7 +189,7 @@ def test_intricacy_over_cap_without_sampled_exits_3(capsys, tmp_path):
     path.write_text(diagonal_law(2, 6).to_json())
     code, _, err = run(capsys, "intricacy", str(path), "--cap-subsets", "4")
     assert code == 3
-    assert "--sampled" in err
+    assert "error" in err
 
 
 def test_intricacy_unknown_family_exits_2(capsys, diagonal_file):
@@ -194,6 +249,30 @@ def test_construct_file_bytes_match_explicit_casts(capsys, tmp_path, d, N, M):
                     for cfg, p in zip(law.configs, law.probs)],
     }) + "\n"
     assert dest.read_text() == want
+
+
+# sha256 of `intricacy construct --d d --N N --M M --seed seed` output files,
+# pinned so that the construction stream cannot drift between versions
+CONSTRUCT_SHA256 = {
+    (2, 10, 5, 7): "14a4ba8adfba1f1917cf4f6c304cd4a32d231fc87cb765c16bed83b80547b3c3",
+    (3, 6, 3, 11): "3113d8fbf17008a84c523d51c1ba8d6c1b9c42388f9194748a3564357e11c042",
+    (5, 5, 3, 2): "129322582fe8ece742f9cf5a3b5b92a0dcc534952c848ef7fb0ed194f027d259",
+    (2, 16, 8, 1): "951d43172e221396959072ac04deb190eb743dfdb2119a3978a0f3aefdcf5035",
+    (3, 12, 6, 4): "a673b00d7142624a61813e98575e9a7f260cf6eda0bebaf666f8084585f48d7c",
+}
+
+
+@pytest.mark.parametrize("spec", CONSTRUCT_SHA256,
+                         ids=lambda spec: "-".join(map(str, spec)))
+def test_construct_file_bytes_are_pinned(capsys, tmp_path, spec):
+    dest = tmp_path / "law.json"
+    argv = [arg for flag, value in zip(("--d", "--N", "--M", "--seed"), spec)
+            for arg in (flag, str(value))]
+    code, _, _ = run(capsys, "construct", *argv, "--out", str(dest))
+    assert code == 0
+    assert hashlib.sha256(dest.read_bytes()).hexdigest() == CONSTRUCT_SHA256[spec]
+    text = dest.read_text()
+    assert SystemLaw.from_json(text).to_json() + "\n" == text
 
 
 def test_construct_x_flag(capsys, tmp_path):

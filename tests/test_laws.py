@@ -62,6 +62,47 @@ def test_non_finite_mass_rejected(bad):
 def test_duplicate_sparse_support_rejected():
     with pytest.raises(LawValidationError):
         SystemLaw.sparse(2, 2, [[0, 0], [0, 0]], [0.5, 0.5])
+    wide = np.zeros((2, 70), dtype=np.uint8)
+    wide[:, 0] = 1
+    with pytest.raises(LawValidationError):
+        SystemLaw.sparse(2, 70, wide, [0.5, 0.5])
+
+
+def test_sparse_rows_differing_in_coordinate_one_are_distinct_at_n70():
+    # 2^69 is 0 mod 2^64, so an int64 mixed-radix key merges these rows
+    configs = np.zeros((2, 70), dtype=np.uint8)
+    configs[0, 0] = 1
+    law = SystemLaw.sparse(2, 70, configs, [0.25, 0.75])
+    assert np.array_equal(law.configs, configs[::-1])
+    assert np.array_equal(law.probs, [0.75, 0.25])
+
+
+def test_sparse_rows_are_lexicographic_at_d3_n41():
+    # 3^40 is negative as an int64, which put (1,0,...) before (0,...,0)
+    gen = np.random.default_rng(41)
+    configs = gen.integers(0, 3, size=(30, 41), dtype=np.uint8)
+    configs[:10, 1:38] = 0              # rows that differ only at the ends
+    configs[:2] = 0
+    configs[1, 0] = 1                   # the all-zero row and (1,0,...,0)
+    configs = gen.permutation(np.unique(configs, axis=0))
+    law = SystemLaw.sparse(3, 41, configs, np.full(len(configs), 1 / len(configs)))
+    assert sorted(map(tuple, configs.tolist())) == list(map(tuple, law.configs.tolist()))
+
+
+@given(d=st.sampled_from([2, 3, 5]), N=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_group_rows_matches_dict_oracle(d, N, seed):
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(0, d, size=(int(gen.integers(1, 40)), N), dtype=np.uint8)
+    weights = gen.random(len(rows))
+    want = {}
+    for row, w in zip(map(tuple, rows.tolist()), weights.tolist()):
+        want[row] = want.get(row, 0.0) + w
+    got_rows, got_weights = laws._group_rows(rows, weights)
+    assert list(map(tuple, got_rows.tolist())) == sorted(want)
+    assert np.allclose(got_weights, [want[r] for r in sorted(want)],
+                       rtol=1e-14, atol=0.0)
 
 
 # --- marginal -------------------------------------------------------------
@@ -253,7 +294,7 @@ def _random_law(gen, d, N, sparse):
         return random_dense_law(gen, d, N)
     size = int(gen.integers(1, min(d**N, 40) + 1))
     idx = gen.choice(d**N, size=size, replace=False)
-    configs = laws._decode_indices(idx, d, N)
+    configs = idx[:, None] // d ** np.arange(N - 1, -1, -1) % d
     return SystemLaw.sparse(d, N, configs, gen.dirichlet(np.ones(size)))
 
 
@@ -300,20 +341,24 @@ def test_subset_entropies_match_oracle(d, N, sparse, seed, count):
     assert np.all(got[masks == 0] == 0.0)
 
 
-@pytest.mark.parametrize("N", [40, 60])
-def test_subset_entropies_wide_keys(N):
-    # N=40 packs its bit keys into uint64; at N=60 key and support index
-    # no longer fit in 63 bits together, so rows are argsorted instead
+@pytest.mark.parametrize("d,N", [pytest.param(2, 40, id="40"),
+                                 pytest.param(2, 60, id="60"),
+                                 pytest.param(2, 70, id="70"),
+                                 pytest.param(3, 41, id="d3-41")])
+def test_subset_entropies_wide_keys(d, N):
+    # N=40 packs its bit keys into uint64; at N=60 and beyond, and for
+    # d=3 at N=41, key and support index no longer fit in 63 bits together,
+    # so each mask's projected rows are grouped symbol by symbol instead
     gen = np.random.default_rng(N)
-    configs = gen.integers(0, 2, size=(24, N), dtype=np.uint8)
+    configs = gen.integers(0, d, size=(24, N), dtype=np.uint8)
     configs[:8, : N // 2] = 0           # shared halves make real groups
     configs = np.unique(configs, axis=0)
-    law = SystemLaw.sparse(2, N, configs, gen.dirichlet(np.ones(len(configs))))
-    masks = np.array([int(gen.integers(0, 2**62)) & full_mask(N)
-                      for _ in range(10)] + [full_mask(N), 1 << (N - 1), 0],
-                     dtype=np.int64)
+    law = SystemLaw.sparse(d, N, configs, gen.dirichlet(np.ones(len(configs))))
+    # Python ints, so the masks of N=70 may use bits 63..69
+    masks = [int(gen.integers(0, 2**62)) & full_mask(N) for _ in range(10)]
+    masks += [full_mask(N), 1 << (N - 1), (1 << (N - 1)) | 0b1011, 0]
     pmap = naive_pmap(law)
-    want = [naive_subset_entropy(pmap, _keep(int(m), N)) for m in masks]
+    want = [naive_subset_entropy(pmap, _keep(m, N)) for m in masks]
     assert np.allclose(laws.subset_entropies(law, masks), want,
                        rtol=0.0, atol=1e-12)
 
@@ -368,6 +413,31 @@ def test_sampled_routes_do_not_build_marginals(monkeypatch):
         [h > 0.8 * 3 * LOG2 for h in hs])
     assert rep.fraction_determining == np.mean(
         [entropy(law) - h < 0.2 * 0.5 * 10 * LOG2 for h in hs])
+
+
+def test_sampled_routes_match_oracle_at_n70():
+    gen = np.random.default_rng(70)
+    configs = gen.integers(0, 2, size=(40, 70), dtype=np.uint8)
+    configs[:20, :60] = 0               # shared prefixes make real groups
+    configs = np.unique(configs, axis=0)
+    law = SystemLaw.sparse(2, 70, configs, gen.dirichlet(np.ones(len(configs))))
+    pmap = naive_pmap(law)
+
+    def oracle(stream, k, count):
+        masks = [stream.sample_subset_mask(70, k) for _ in range(count)]
+        return [naive_subset_entropy(pmap, _keep(m, 70)) for m in masks]
+
+    prof = entropy_profile_sampled(law, [1, 35, 69, 70], 4, seed=3)
+    stream = it.SplitMix64(3)
+    for k in (1, 35, 69, 70):
+        want = np.mean(oracle(stream, k, 4)) / (70 * LOG2)
+        assert prof.values[k] == pytest.approx(want, abs=1e-12)
+    rep = it.threshold_census(law, x=0.1, y=0.5, epsilon=0.2, samples=30, seed=6)
+    hs = oracle(it.SplitMix64(6), 35, 30)
+    assert rep.fraction_near_uniform == np.mean(
+        [h > 0.8 * 35 * LOG2 for h in hs])
+    assert rep.fraction_determining == np.mean(
+        [entropy(law) - h < 0.2 * 0.1 * 70 * LOG2 for h in hs])
 
 
 def test_kernel_selection_dense_uses_lattice(monkeypatch):

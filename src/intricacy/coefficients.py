@@ -59,15 +59,6 @@ class MixingMeasure:
             return True
         return any(abs(loc - x) <= tol for loc, _ in self.atoms)
 
-    def to_json_dict(self) -> dict:
-        return {"atoms": [[w, m] for w, m in self.atoms],
-                "lebesgue": self.lebesgue_mass}
-
-    @staticmethod
-    def from_json_dict(obj: dict) -> "MixingMeasure":
-        return MixingMeasure(tuple((float(w), float(m)) for w, m in obj.get("atoms", [])),
-                             float(obj.get("lebesgue", 0.0)))
-
 
 def est_measure() -> MixingMeasure:
     """Edelman-Sporns-Tononi neural complexity: uniform density on [0,1]."""

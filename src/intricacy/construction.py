@@ -18,8 +18,8 @@ import numpy as np
 from scipy import stats
 
 from .coefficients import CoefficientTable, coefficient_table
-from .laws import (DEFAULT_SUBSET_CAP, CapExceededError, EntropyProfile,
-                   SystemLaw, _group_rows, entropy_profile_exact)
+from .laws import (MAX_D, CapExceededError, EntropyProfile, SystemLaw,
+                   _group_rows, entropy_profile_exact)
 from .profiles import g_functional
 from .rng import SplitMix64
 
@@ -37,8 +37,8 @@ class ConstructionSpec:
     seed: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
+        if not 2 <= self.d <= MAX_D:
+            raise ValueError(f"d must be in 2..{MAX_D}")
         if self.N < 1:
             raise ValueError("N must be >= 1")
         if not 0 <= self.M <= self.N:
@@ -87,7 +87,6 @@ class ExpectedEntropyDetail(NamedTuple):
 
 
 def expected_subset_entropy_detail(d: int, N: int, M: int, k: int, *,
-                                   exact_cap: int = EXACT_SUM_CAP,
                                    truncate: bool = True) -> ExpectedEntropyDetail:
     """Exact (or mean +/- 12 sigma truncated) binomial expectation of the
     size-k expected subset entropy, in units of log d."""
@@ -100,10 +99,10 @@ def expected_subset_entropy_detail(d: int, N: int, M: int, k: int, *,
     n = d**M
     p = float(d) ** (-k)
     tail = 0.0
-    if n > exact_cap:
+    if n > EXACT_SUM_CAP:
         if not truncate:
             raise CapExceededError(
-                f"d^M = {n} exceeds the exact-summation cap {exact_cap}")
+                f"d^M = {n} exceeds the exact-summation cap {EXACT_SUM_CAP}")
         mean = n * p
         sigma = math.sqrt(n * p * (1.0 - p))
         lo = max(0, int(mean - 12 * sigma))
@@ -123,12 +122,11 @@ def expected_subset_entropy_detail(d: int, N: int, M: int, k: int, *,
 
 
 def expected_subset_entropy(d: int, N: int, M: int, k: int, *,
-                            exact_cap: int = EXACT_SUM_CAP,
                             truncate: bool = True) -> float:
     """h_k, the expected entropy of a size-k sub-family of the sparse
     random construction, in units of log d."""
     return expected_subset_entropy_detail(
-        d, N, M, k, exact_cap=exact_cap, truncate=truncate).value
+        d, N, M, k, truncate=truncate).value
 
 
 def entropy_envelope(d: int, M: int, k: int) -> tuple[float, float]:
@@ -153,13 +151,11 @@ class RealizedProfile:
     normalized_intricacy: dict
 
 
-def realized_profile(spec: ConstructionSpec, families=(), *,
-                     subset_cap: int = DEFAULT_SUBSET_CAP,
-                     support_cap: int = DEFAULT_SUPPORT_CAP) -> RealizedProfile:
+def realized_profile(spec: ConstructionSpec, families=()) -> RealizedProfile:
     """Sample the system and evaluate its exact profile plus one normalized
     intricacy per requested (name, MixingMeasure) family."""
-    law = sample_sparse_system(spec, cap=support_cap)
-    profile = entropy_profile_exact(law, cap=subset_cap)
+    law = sample_sparse_system(spec)
+    profile = entropy_profile_exact(law)
     x_n = float(profile.values[-1])
     intricacies = {}
     for name, measure in families:

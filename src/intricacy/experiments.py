@@ -14,14 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coefficients import (CoefficientTable, MixingMeasure, coefficient_table)
+from .coefficients import CoefficientTable, coefficient_table
 from .construction import (ConstructionSpec, m_from_target,
                            sample_sparse_system)
 from .laws import (DEFAULT_SUBSET_CAP, CapExceededError, EntropyProfile,
                    SystemLaw, _popcounts, entropy, entropy_profile_exact,
-                   subset_entropies)
+                   size_k_masks, subset_entropies)
 from .profiles import deficit_report, ic_limit, ic_n, ideal_profile
 from .rng import SplitMix64
+
+# Maximizer search: exponentiated-gradient step size and the dense caps.
+STEP_SIZE = 0.5
+SEARCH_CAP_N = 6
+SEARCH_CAP_D = 3
 
 SWEEP_CSV_HEADER = ("family,d,N,M,seed,x_N,I_N,icn_at_xN,deficit,"
                     "sup_profile_gap")
@@ -160,14 +165,9 @@ def threshold_census(law: SystemLaw, x: float, y: float, epsilon: float,
     h_full = entropy(law)
     uniform_cut = (1.0 - epsilon) * k * logd
     determine_cut = epsilon * x * N * logd
-    if exhaustive:
-        if N > 20:
-            raise CapExceededError("exhaustive census capped at N <= 20")
-        from itertools import combinations
-        masks = [sum(1 << i for i in c) for c in combinations(range(N), k)]
-    else:
-        rng = SplitMix64(seed)
-        masks = [rng.sample_subset_mask(N, k) for _ in range(samples)]
+    if exhaustive and N > 20:
+        raise CapExceededError("exhaustive census capped at N <= 20")
+    masks = size_k_masks(N, k, None if exhaustive else SplitMix64(seed), samples)
     h_s = subset_entropies(law, masks)
     n_uniform = int(np.count_nonzero(h_s > uniform_cut))
     n_determining = int(np.count_nonzero(h_full - h_s < determine_cut))
@@ -238,9 +238,7 @@ def _intricacy_and_grad(p: np.ndarray, c: np.ndarray, keys: np.ndarray):
 def maximizer_search(d: int, N: int, table: CoefficientTable, *,
                      restarts: int = 20, iterations: int = 200, seed: int = 0,
                      entropy_target: float | None = None,
-                     penalty_weight: float = 20.0,
-                     step_size: float = 0.5,
-                     cap_n: int = 6, cap_d: int = 3) -> SearchResult:
+                     penalty_weight: float = 20.0) -> SearchResult:
     """Stochastic mirror ascent over the simplex on d^N configurations.
 
     Exponentiated-gradient steps with 1/sqrt(t) decay; the optional entropy
@@ -248,9 +246,9 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
     iterations.  The certificate ic_n(x_achieved) - I/(N log d) is
     nonnegative for every restart by the deficit identity.
     """
-    if N > cap_n or d > cap_d:
+    if N > SEARCH_CAP_N or d > SEARCH_CAP_D:
         raise CapExceededError(
-            f"dense search capped at N <= {cap_n}, d <= {cap_d}")
+            f"dense search capped at N <= {SEARCH_CAP_N}, d <= {SEARCH_CAP_D}")
     if table.N != N:
         raise ValueError("table size mismatch")
     rng = np.random.default_rng(seed)
@@ -270,7 +268,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
                 h_n = float(-(p * logp).sum()) / norm
                 w = penalty_weight * t / iterations
                 grad += 2.0 * w * (h_n - entropy_target) * (1.0 + logp) / norm
-            step = step_size / math.sqrt(t)
+            step = STEP_SIZE / math.sqrt(t)
             p = p * np.exp(step * (grad - grad.max()))
             p /= p.sum()
         law = SystemLaw.dense(d, N, p.ravel())
@@ -295,17 +293,15 @@ class FamilyTrend:
     supported: bool
 
 
-def simultaneity_check(families, d: int, x: float, N_list, seeds, *,
-                       subset_cap: int = DEFAULT_SUBSET_CAP
-                       ) -> list[FamilyTrend]:
+def simultaneity_check(families, d: int, x: float, N_list,
+                       seeds) -> list[FamilyTrend]:
     """Evaluate every family's normalized intricacy trend on the SAME
     sampled law sequence and compare against each family's own limit
     i^c(x).  Emits a warning (not a failure) when x is outside a family's
     mixing-measure support, where the simultaneity guarantee does not apply.
     """
     families = list(families)
-    records = convergence_sweep(families, d, x, N_list, seeds,
-                                subset_cap=subset_cap)
+    records = convergence_sweep(families, d, x, N_list, seeds)
     by_family: dict[str, dict[int, list[float]]] = {}
     for r in records:
         by_family.setdefault(r.family, {}).setdefault(r.N, []).append(r.I_N)

@@ -22,6 +22,8 @@ MASS_TOL = 1e-9
 # Rounding error of numpy's pairwise sum over a normalized table, with room.
 SUM_ROUNDING = 64 * np.finfo(float).eps
 DEFAULT_SUBSET_CAP = 22
+# Symbols are stored as uint8.
+MAX_D = 256
 
 
 class LawValidationError(ValueError):
@@ -84,10 +86,7 @@ class SystemLaw:
 
     @staticmethod
     def dense(d: int, N: int, table) -> "SystemLaw":
-        if d < 2:
-            raise LawValidationError("alphabet size d must be >= 2")
-        if N < 0:
-            raise LawValidationError("system size N must be >= 0")
+        _check_sizes(d, N)
         table = np.asarray(table, dtype=float).ravel()
         if table.size != d**N:
             raise LawValidationError(
@@ -103,15 +102,19 @@ class SystemLaw:
     def sparse(d: int, N: int, configs, probs) -> "SystemLaw":
         """Law on the given support rows, stored in lexicographic order,
         coordinate 1 first (the order of law files), without its zero-mass
-        rows.  A repeated row raises :class:`LawValidationError`."""
-        if d < 2:
-            raise LawValidationError("alphabet size d must be >= 2")
-        if N < 0:
-            raise LawValidationError("system size N must be >= 0")
+        rows.  A repeated row, or a symbol that is not an integer in
+        0..d-1, raises :class:`LawValidationError`."""
+        _check_sizes(d, N)
         probs = np.asarray(probs, dtype=float).ravel()
-        configs = np.asarray(configs, dtype=np.uint8).reshape(probs.size, N)
-        if configs.size and configs.max(initial=0) >= d:
-            raise LawValidationError("configuration symbol out of range")
+        configs = np.asarray(configs)
+        kind = configs.dtype.kind
+        # checked before the uint8 cast, which would wrap -255 or 257 to 1
+        if configs.size and not (kind in "buif" and configs.min() >= 0
+                                 and configs.max() < d and
+                                 (kind != "f" or np.all(configs % 1 == 0))):
+            raise LawValidationError(
+                f"configuration symbols must be integers in 0..{d - 1}")
+        configs = configs.astype(np.uint8).reshape(probs.size, N)
         probs = _normalized(probs)
         rows, weights = _group_rows(configs, probs)
         if weights.size != probs.size:
@@ -167,6 +170,13 @@ class SystemLaw:
         return SystemLaw.from_json_dict(json.loads(text))
 
 
+def _check_sizes(d: int, N: int) -> None:
+    if not 2 <= d <= MAX_D:
+        raise LawValidationError(f"alphabet size d must be in 2..{MAX_D}")
+    if N < 0:
+        raise LawValidationError("system size N must be >= 0")
+
+
 def _freeze(law: SystemLaw) -> None:
     for arr in (law.configs, law.probs, law.table):
         if arr is not None:
@@ -196,7 +206,7 @@ def _normalized(p: np.ndarray) -> np.ndarray:
 
 
 def point_mass(d: int, N: int, config) -> SystemLaw:
-    return SystemLaw.sparse(d, N, np.array([config], dtype=np.uint8), [1.0])
+    return SystemLaw.sparse(d, N, [config], [1.0])
 
 
 def uniform_law(d: int, N: int) -> SystemLaw:
@@ -321,21 +331,20 @@ def _popcounts(masks: np.ndarray) -> np.ndarray:
 def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """Entropy of the weight distribution grouped by equal key, row-wise.
 
-    K is (n_masks, n_support); row j holds the projected-configuration key
-    of each support point under mask j.  Key and support index are packed
-    into one integer, which the caller guarantees fits in 63 bits, so a
-    single radix sort orders every row.
+    K is (n_masks, n_support), uint32 or uint64; row j holds the
+    projected-configuration key of each support point under mask j.  The
+    caller guarantees that a key shifted left by bits(n_support - 1) fits in
+    K's word (63 bits at most), so the support index is packed into K's low
+    bits in place and a single sort orders every row.  K is overwritten.
     """
     m, n = K.shape
-    shift = max((n - 1).bit_length(), 1)
-    packed = (int(K.max()) << shift) | (n - 1)
-    dtype = np.uint32 if packed < 2**32 else np.uint64
-    comb = K.astype(dtype)
-    comb <<= dtype(shift)
-    comb |= np.arange(n, dtype=dtype)
-    comb.sort(axis=1)
-    Ks = comb >> dtype(shift)
-    order = np.bitwise_and(comb, dtype((1 << shift) - 1), out=comb)
+    word = K.dtype.type
+    shift = (n - 1).bit_length()
+    K <<= word(shift)
+    K |= np.arange(n, dtype=word)
+    K.sort(axis=1)
+    Ks = K >> word(shift)
+    order = np.bitwise_and(K, word((1 << shift) - 1), out=K)
     starts = np.empty((m, n), dtype=bool)
     starts[:, 0] = True
     np.not_equal(Ks[:, 1:], Ks[:, :-1], out=starts[:, 1:])
@@ -350,30 +359,30 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
     """Sort path of :func:`subset_entropies` for an array of masks."""
     N, d = law.N, law.d
     configs, probs = law.support()
-    if d**N << max((probs.size - 1).bit_length(), 1) > 2**63:
+    b = (d - 1).bit_length()
+    width = b * N + (probs.size - 1).bit_length()
+    if width > 63:
         # keys cannot share 63 bits with the support index: group the
         # projected rows of each mask instead
         return np.array([
             entr(_group_rows(configs[:, mask_to_indices(mask, N)], probs)[1]).sum()
             for mask in masks.tolist()])
-    masks = masks.astype(np.int64, copy=False)
-    if d == 2:
-        word = np.uint64 if N > 32 else np.uint32
-        pts = configs.astype(word) @ (word(1) << np.arange(N, dtype=word))
-
-        def keys(ms):
-            return ms.astype(word)[:, None] & pts
-    else:
-        keyed = configs.astype(np.int64) * d ** np.arange(N, dtype=np.int64)
-        coords = np.arange(N, dtype=np.int64)
-
-        def keys(ms):
-            return ((ms[:, None] >> coords) & 1) @ keyed.T
+    # symbol x_{i+1} sits in bits b*i .. b*i+b-1; a mask's fields set all b
+    # bits of each coordinate it holds.  Keys are built in the narrowest
+    # word that holds b*N bits and written into the word of the whole width.
+    kword = np.uint32 if b * N <= 32 else np.uint64
+    word = np.uint32 if width <= 32 else np.uint64
+    coords = np.arange(N, dtype=kword)
+    place = kword(1) << (kword(b) * coords)
+    pts = configs.astype(kword) @ place
+    field = place * kword((1 << b) - 1)
     out = np.empty(masks.size)
     chunk = min(4096, max(1, 2**20 // probs.size))
     for start in range(0, masks.size, chunk):
-        ms = masks[start:start + chunk]
-        out[start:start + ms.size] = _grouped_entropies(keys(ms), probs)
+        ms = masks[start:start + chunk].astype(kword)
+        fields = ((ms[:, None] >> coords) & kword(1)) @ field
+        K = np.bitwise_and(fields[:, None], pts, dtype=word)
+        out[start:start + ms.size] = _grouped_entropies(K, probs)
     return out
 
 
@@ -382,24 +391,25 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     ints up to 2^N - 1 for any N; repeats and any order allowed), in the
     shape of ``masks``.
 
-    The support is keyed once per call.  The key of a support point x under
-    mask S identifies its projection onto S: for d = 2, the bits of x packed
-    into one integer (uint32, or uint64 when N > 32) and-ed with S; for
-    d > 2, sum of x_i d^i over i in S, i.e. ``bits(S) @ keyed.T`` with
-    ``keyed[x, i] = x_i d^i``.  Masks are then processed
-    ``min(4096, max(1, 2**20 // support))`` at a time, so at most ~2^20
-    keys are held per chunk whatever the support.  Each row of keys is
-    sorted with the support index packed into its low bits, equal keys are
-    summed, and each row's -p log p terms are added by ``np.add.reduceat``,
-    which sums every segment pairwise: the error stays near 1e-15 nats at a
-    support of 65k points, where a sequential sum misses by ~1e-11.
+    The support is keyed once per call by bit fields: with b = bits(d - 1),
+    symbol x_{i+1} sits in bits b*i .. b*i+b-1 of one integer, and the key
+    under mask S is that integer and-ed with S's fields (all b bits of each
+    coordinate in S; for d = 2, S itself).  Like base-d digits these keys
+    put coordinate N most significant, so they sort in lexicographic order.
+    Masks go ``min(4096, max(1, 2**20 // support))`` at a time (at most
+    ~2^20 keys per chunk); each row of keys is sorted with the support index
+    packed into its low bits, equal keys are summed, and each row's
+    -p log p terms are added pairwise by ``np.add.reduceat`` (about 1e-15
+    nats at a support of 65k points; a sequential sum misses by ~1e-11).
 
-    When d^N * 2^bits(support - 1) exceeds 2^63, key and support index do
-    not fit in one integer; the projected rows of each mask are then
-    grouped symbol by symbol (``_group_rows``), so the sampled routes work
-    for any N.  A dense law instead takes the marginal of each mask by
-    summing its table over the other axes, which is cheaper than sorting a
-    d^N support for a few masks.  The empty mask has entropy exactly 0.
+    One budget, width = b*N + bits(support - 1), decides once per law:
+    uint32 keys when width <= 32, uint64 up to 63, and beyond that the
+    projected rows of each mask are grouped symbol by symbol
+    (``_group_rows``), so the sampled routes work for any N.  For d not a
+    power of two that grouping starts at a smaller N than N*log2(d) would
+    give (d = 3 at support 2^16: N >= 24).  A dense law sums its table
+    over the other axes per mask, cheaper than sorting a d^N support for a
+    few masks.  The empty mask has entropy exactly 0.
     Raises ``IndexError`` for a mask outside 0..2^N - 1.
     """
     N, d = law.N, law.d
@@ -483,6 +493,16 @@ def all_subset_entropies(law: SystemLaw, *,
 # --- entropy profiles ----------------------------------------------------
 
 
+def size_k_masks(N: int, k: int, rng: SplitMix64 | None,
+                 count: int) -> list[int]:
+    """Every size-k mask of N coordinates, in ``itertools.combinations``
+    order, when ``rng`` is None; otherwise ``count`` uniform size-k masks
+    drawn from ``rng``."""
+    if rng is None:
+        return [indices_to_mask(c) for c in combinations(range(N), k)]
+    return [rng.sample_subset_mask(N, k) for _ in range(count)]
+
+
 @dataclass(frozen=True)
 class EntropyProfile:
     """Averaged subset entropies h(k/N) for k = 0..N, normalized by
@@ -537,19 +557,14 @@ def entropy_profile_sampled(law: SystemLaw, sizes, samples_per_size: int,
     values = np.full(N + 1, np.nan)
     stderr = np.full(N + 1, np.nan)
     values[0], stderr[0] = 0.0, 0.0
-    rng = SplitMix64(seed)
     ks = sorted(set(int(s) for s in sizes))
     for k in ks:
         if not 0 <= k <= N:
             raise IndexError(f"subset size {k} outside 0..{N}")
+    # one batch of masks, drawn size by size from one stream
+    rng = None if exhaustive else SplitMix64(seed)
     ks = [k for k in ks if k > 0]
-    # one batch of masks, drawn size by size in the same stream order
-    if exhaustive:
-        groups = [[indices_to_mask(c) for c in combinations(range(N), k)]
-                  for k in ks]
-    else:
-        groups = [[rng.sample_subset_mask(N, k) for _ in range(samples_per_size)]
-                  for k in ks]
+    groups = [size_k_masks(N, k, rng, samples_per_size) for k in ks]
     H = subset_entropies(law, [m for g in groups for m in g])
     start = 0
     for k, g in zip(ks, groups):

@@ -16,8 +16,7 @@ import numpy as np
 
 from .coefficients import CoefficientTable, MixingMeasure, binomials
 from .laws import (DEFAULT_SUBSET_CAP, EntropyProfile, SystemLaw,
-                   all_subset_entropies, entropy, entropy_profile_exact,
-                   _popcounts)
+                   all_subset_entropies, entropy_profile_exact, _popcounts)
 
 
 def intricacy_defn(law: SystemLaw, table: CoefficientTable, *,

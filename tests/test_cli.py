@@ -82,6 +82,19 @@ def exit_code(capsys, argv):
                         "--x", "0.5", "--seed", "1", "--census-seed", "2",
                         "--y", "0.5", "--epsilon", "0.1"],
                  id="census-with-m-and-x"),
+    pytest.param({"d": 3, "N": 1, "support": [{"config": [-255], "p": 0.5},
+                                              {"config": [0], "p": 0.5}]},
+                 ["entropy"], id="negative-symbol"),
+    pytest.param({"d": 3, "N": 1, "support": [{"config": [257], "p": 0.5},
+                                              {"config": [0], "p": 0.5}]},
+                 ["entropy"], id="symbol-above-255"),
+    pytest.param({"d": 3, "N": 1, "support": [{"config": [1.7], "p": 0.5},
+                                              {"config": [0], "p": 0.5}]},
+                 ["entropy"], id="fractional-symbol"),
+    pytest.param({"d": 300, "N": 1, "support": [{"config": [299], "p": 1.0}]},
+                 ["entropy"], id="d-above-256"),
+    pytest.param(None, ["construct", "--d", "300", "--N", "2", "--M", "1",
+                        "--seed", "1"], id="construct-d-above-256"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
     if law is not None:

@@ -59,6 +59,26 @@ def test_non_finite_mass_rejected(bad):
         SystemLaw.sparse(2, 1, [[0], [1]], [bad, 1.0])
 
 
+@pytest.mark.parametrize("symbol", [-255, 257, 1.7, 3])
+def test_out_of_range_symbols_rejected(symbol):
+    # checked on the input, before the uint8 cast would wrap it into range
+    with pytest.raises(LawValidationError):
+        SystemLaw.sparse(3, 1, [[symbol], [0]], [0.5, 0.5])
+    with pytest.raises(LawValidationError):
+        point_mass(3, 1, [symbol])
+
+
+def test_alphabets_above_256_rejected():
+    with pytest.raises(LawValidationError):
+        SystemLaw.sparse(300, 1, [[299]], [1.0])
+    with pytest.raises(LawValidationError):
+        SystemLaw.dense(300, 1, np.full(300, 1 / 300))
+    with pytest.raises(LawValidationError):
+        point_mass(300, 1, [299])
+    # d = 256 still fits uint8 symbols
+    assert entropy(point_mass(256, 2, [255, 0])) == 0.0
+
+
 def test_duplicate_sparse_support_rejected():
     with pytest.raises(LawValidationError):
         SystemLaw.sparse(2, 2, [[0, 0], [0, 0]], [0.5, 0.5])
@@ -302,7 +322,7 @@ def _keep(mask, N):
     return tuple(i for i in range(N) if (mask >> i) & 1)
 
 
-@given(d=st.sampled_from([2, 3, 5]), N=st.integers(0, 5),
+@given(d=st.sampled_from([2, 3, 4, 5]), N=st.integers(0, 5),
        sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_kernel_paths_match_oracle(d, N, sparse, seed):
@@ -322,7 +342,7 @@ def _kernel_path(monkeypatch, law):
     return chosen
 
 
-@given(d=st.sampled_from([2, 3, 5]), N=st.integers(0, 5),
+@given(d=st.sampled_from([2, 3, 4, 5]), N=st.integers(0, 5),
        sparse=st.booleans(), seed=st.integers(0, 2**32 - 1),
        count=st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
@@ -344,11 +364,16 @@ def test_subset_entropies_match_oracle(d, N, sparse, seed, count):
 @pytest.mark.parametrize("d,N", [pytest.param(2, 40, id="40"),
                                  pytest.param(2, 60, id="60"),
                                  pytest.param(2, 70, id="70"),
-                                 pytest.param(3, 41, id="d3-41")])
+                                 pytest.param(3, 26, id="d3-26"),
+                                 pytest.param(3, 30, id="d3-30"),
+                                 pytest.param(3, 41, id="d3-41"),
+                                 pytest.param(256, 7, id="d256-7")])
 def test_subset_entropies_wide_keys(d, N):
-    # N=40 packs its bit keys into uint64; at N=60 and beyond, and for
-    # d=3 at N=41, key and support index no longer fit in 63 bits together,
-    # so each mask's projected rows are grouped symbol by symbol instead
+    # Keys take bits(d-1)*N bits and the support index (at most 24 rows)
+    # 5 more.  N=40 (width 45), d=3 at N=26 (57) and d=256 at N=7 (61) pack
+    # both into uint64; N=60 and beyond, and d=3 at N=30 (65) and N=41, do
+    # not fit in 63 bits, so each mask's projected rows are grouped symbol
+    # by symbol instead
     gen = np.random.default_rng(N)
     configs = gen.integers(0, d, size=(24, N), dtype=np.uint8)
     configs[:8, : N // 2] = 0           # shared halves make real groups

@@ -185,12 +185,14 @@ def cmd_maximize(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
-    """Accepts '8', '8,12,16' or '8..16' (inclusive)."""
+    """Accepts '8', '8,12,16' or '8..16' (inclusive, not empty)."""
     out = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in part.split(".."))
+            if lo > hi:
+                raise ValueError(f"empty range {part!r}")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return out
@@ -293,7 +295,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (LawValidationError, ValueError, json.JSONDecodeError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -2,9 +2,9 @@
 experiments, plus a small-scale stochastic maximizer search benchmarked
 against the finite-size ceiling.
 
-All experiments are deterministic given their seeds: system draws and
-subset sampling run on the portable splitmix64 stream, the maximizer search
-on a seeded numpy generator.
+All experiments are deterministic given their seeds: system draws, subset
+sampling and the maximizer search's starting points all run on the portable
+splitmix64 stream.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from .coefficients import CoefficientTable, coefficient_table
 from .construction import (ConstructionSpec, m_from_target,
                            sample_sparse_system)
 from .laws import (DEFAULT_SUBSET_CAP, CapExceededError, EntropyProfile,
-                   SystemLaw, _popcounts, entropy, entropy_profile_exact,
+                   SystemLaw, entropy, entropy_profile_exact,
                    size_k_masks, subset_entropies)
 from .profiles import deficit_report, ic_limit, ic_n, ideal_profile
 from .rng import SplitMix64
@@ -223,14 +223,14 @@ def _subset_keys(d: int, N: int) -> np.ndarray:
 def _intricacy_and_grad(p: np.ndarray, c: np.ndarray, keys: np.ndarray):
     """I^c(p) in nats and its gradient, via the marginals of every subset."""
     masks, size = keys.shape
-    w = 2.0 * c[_popcounts(np.arange(masks, dtype=np.uint32)).astype(np.intp)]
+    w = 2.0 * c[np.bitwise_count(np.arange(masks, dtype=np.uint32))]
     w[0] = 0.0
     nu = np.bincount(keys.ravel(), weights=np.tile(p.ravel(), masks),
                      minlength=masks * size)
     lognu = np.log(np.maximum(nu, 1e-300))
     h = -(nu * lognu).reshape(masks, size).sum(axis=1)
     # I = sum_{S != empty} w_S H(X_S) - H(X); the full mask's block of nu is p
-    value = float(w @ h) - h[-1]
+    value = float(w @ h - h[-1])
     grad = 1.0 + lognu[keys[-1]] - w @ (1.0 + lognu[keys])
     return value, grad.reshape(p.shape)
 
@@ -243,23 +243,29 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
 
     Exponentiated-gradient steps with 1/sqrt(t) decay; the optional entropy
     target enters through a squared penalty whose weight escalates over the
-    iterations.  The certificate ic_n(x_achieved) - I/(N log d) is
-    nonnegative for every restart by the deficit identity.
+    iterations.  Each restart starts from a Dirichlet(1) draw on the
+    splitmix64 stream of ``seed``: d^N Exp(1) draws -log(1 - u), normalized.
+    The certificate ic_n(x_achieved) - I/(N log d) is nonnegative for every
+    restart by the deficit identity.  Raises ``ValueError`` unless
+    ``restarts >= 1`` and ``iterations >= 0``.
     """
     if N > SEARCH_CAP_N or d > SEARCH_CAP_D:
         raise CapExceededError(
             f"dense search capped at N <= {SEARCH_CAP_N}, d <= {SEARCH_CAP_D}")
     if table.N != N:
         raise ValueError("table size mismatch")
-    rng = np.random.default_rng(seed)
+    if restarts < 1 or iterations < 0:
+        raise ValueError("maximizer search needs restarts >= 1 and "
+                         "iterations >= 0")
+    rng = SplitMix64(seed)
     keys = _subset_keys(d, N)
     shape = (d,) * N
     norm = N * math.log(d)
     best = None
     results = []
     for _ in range(restarts):
-        p = rng.dirichlet(np.ones(d**N)).reshape(shape)
-        p = np.maximum(p, 1e-12)
+        p = np.array([-math.log1p(-rng.uniform()) for _ in range(d**N)])
+        p = np.maximum(p.reshape(shape) / p.sum(), 1e-12)
         p /= p.sum()
         for t in range(1, iterations + 1):
             value, grad = _intricacy_and_grad(p, table.c, keys)

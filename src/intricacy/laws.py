@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -69,12 +69,13 @@ def _group_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class SystemLaw:
-    """Probability measure on {0,...,d-1}^N.
+    """Probability measure on {0,...,d-1}^N, held as its nonzero support:
+    ``configs`` (distinct rows in lexicographic order, coordinate 1 first)
+    and their weights ``probs``.
 
-    ``kind`` is "dense" (flat table of d^N probabilities in mixed-radix
-    order) or "sparse" (distinct support configurations with weights).
-    ``configs``/``probs`` always hold the (nonzero) support; ``table`` is
-    only set for dense laws.
+    ``kind`` only names the law-file format :meth:`to_json_dict` writes:
+    "dense" (the flat table of d^N probabilities in mixed-radix order) or
+    "sparse" (the support rows with their weights).
     """
 
     d: int
@@ -82,10 +83,11 @@ class SystemLaw:
     kind: str
     configs: np.ndarray
     probs: np.ndarray
-    table: np.ndarray | None = None
 
     @staticmethod
     def dense(d: int, N: int, table) -> "SystemLaw":
+        """Law of a flat d^N table in mixed-radix order (coordinate 1 most
+        significant); only its nonzero cells are kept."""
         _check_sizes(d, N)
         table = np.asarray(table, dtype=float).ravel()
         if table.size != d**N:
@@ -94,7 +96,7 @@ class SystemLaw:
         table = _normalized(table)
         # nonzero cells in C order: lexicographic, coordinate 1 first
         configs = np.argwhere(table.reshape((d,) * N)).astype(np.uint8)
-        law = SystemLaw(d, N, "dense", configs, table[table > 0], table)
+        law = SystemLaw(d, N, "dense", configs, table[table > 0])
         _freeze(law)
         return law
 
@@ -132,6 +134,12 @@ class SystemLaw:
     def support_size(self) -> int:
         return self.probs.size
 
+    @property
+    def table(self) -> np.ndarray | None:
+        """The flat d^N table of a dense law, built from its support; None
+        for a sparse law."""
+        return _scatter(self) if self.kind == "dense" else None
+
     # --- serialization (file contract) ---------------------------------
 
     def to_json_dict(self) -> dict:
@@ -154,7 +162,7 @@ class SystemLaw:
         """Law from a parsed law file; raises :class:`LawValidationError`
         for any malformed input."""
         try:
-            d, N = int(obj["d"]), int(obj["N"])
+            d, N = _integer(obj["d"], "d"), _integer(obj["N"], "N")
             if "dense" in obj:
                 return SystemLaw.dense(d, N, obj["dense"])
             entries = obj["support"]
@@ -170,6 +178,14 @@ class SystemLaw:
         return SystemLaw.from_json_dict(json.loads(text))
 
 
+def _integer(value, name: str) -> int:
+    """A law file's integral number (2 or 2.0, not 2.9, "2" or true)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or value % 1 != 0):
+        raise LawValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_sizes(d: int, N: int) -> None:
     if not 2 <= d <= MAX_D:
         raise LawValidationError(f"alphabet size d must be in 2..{MAX_D}")
@@ -178,9 +194,8 @@ def _check_sizes(d: int, N: int) -> None:
 
 
 def _freeze(law: SystemLaw) -> None:
-    for arr in (law.configs, law.probs, law.table):
-        if arr is not None:
-            arr.setflags(write=False)
+    law.configs.setflags(write=False)
+    law.probs.setflags(write=False)
 
 
 def _normalized(p: np.ndarray) -> np.ndarray:
@@ -197,9 +212,7 @@ def _normalized(p: np.ndarray) -> np.ndarray:
     # A table that already sums to 1 up to the rounding of the sum itself is
     # kept as it is, so normalizing twice (e.g. across a JSON round trip)
     # changes no bit.
-    if abs(total - 1.0) > SUM_ROUNDING:
-        return p / total
-    return p.copy()
+    return p / total if abs(total - 1.0) > SUM_ROUNDING else p
 
 
 # --- convenient constructors -------------------------------------------
@@ -236,11 +249,8 @@ def permute_coordinates(law: SystemLaw, perm) -> SystemLaw:
     if sorted(perm) != list(range(law.N)):
         raise ValueError("perm must be a permutation of 0..N-1")
     inv = np.argsort(perm)
-    configs = law.configs[:, inv]
-    new = SystemLaw.sparse(law.d, law.N, configs, law.probs)
-    if law.kind == "dense":
-        return _sparse_to_dense(new)
-    return new
+    new = SystemLaw.sparse(law.d, law.N, law.configs[:, inv], law.probs)
+    return replace(new, kind=law.kind)
 
 
 def relabel_symbols(law: SystemLaw, tables) -> SystemLaw:
@@ -253,9 +263,7 @@ def relabel_symbols(law: SystemLaw, tables) -> SystemLaw:
     for i in range(law.N):
         configs[:, i] = tables[i][law.configs[:, i]]
     new = SystemLaw.sparse(law.d, law.N, configs, law.probs)
-    if law.kind == "dense":
-        return _sparse_to_dense(new)
-    return new
+    return replace(new, kind=law.kind)
 
 
 def _scatter(law: SystemLaw) -> np.ndarray:
@@ -265,10 +273,6 @@ def _scatter(law: SystemLaw) -> np.ndarray:
     idx = law.configs.astype(np.int64) @ d ** np.arange(N - 1, -1, -1)
     table[idx] = law.probs
     return table
-
-
-def _sparse_to_dense(law: SystemLaw) -> SystemLaw:
-    return SystemLaw.dense(law.d, law.N, _scatter(law))
 
 
 # --- core operations ----------------------------------------------------
@@ -282,16 +286,11 @@ def entropy(law: SystemLaw) -> float:
 
 def marginal(law: SystemLaw, mask: int) -> SystemLaw:
     """Pushforward of the law under projection onto the coordinates in
-    ``mask``; preserves the dense/sparse representation."""
+    ``mask``; keeps the law's file format (``kind``)."""
     keep = mask_to_indices(mask, law.N)
-    k = len(keep)
-    if law.kind == "dense":
-        shaped = law.table.reshape((law.d,) * law.N if law.N else (1,))
-        drop = tuple(i for i in range(law.N) if i not in keep)
-        out = shaped.sum(axis=drop) if drop else shaped
-        return SystemLaw.dense(law.d, k, np.asarray(out).ravel())
     configs, probs = _group_rows(law.configs[:, keep], law.probs)
-    return SystemLaw.sparse(law.d, k, configs, probs)
+    new = SystemLaw.sparse(law.d, len(keep), configs, probs)
+    return replace(new, kind=law.kind)
 
 
 def subset_entropy(law: SystemLaw, mask: int) -> float:
@@ -314,18 +313,6 @@ def conditional_entropy(law: SystemLaw, mask: int) -> float:
 
 
 # --- all-subset enumeration ---------------------------------------------
-
-
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(masks)
-    table = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-    counts = np.zeros(masks.shape, dtype=np.int64)
-    m = masks.astype(np.uint64)
-    while m.any():
-        counts += table[(m & 0xFF).astype(np.intp)]
-        m >>= np.uint64(8)
-    return counts
 
 
 def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -407,24 +394,15 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     projected rows of each mask are grouped symbol by symbol
     (``_group_rows``), so the sampled routes work for any N.  For d not a
     power of two that grouping starts at a smaller N than N*log2(d) would
-    give (d = 3 at support 2^16: N >= 24).  A dense law sums its table
-    over the other axes per mask, cheaper than sorting a d^N support for a
-    few masks.  The empty mask has entropy exactly 0.
+    give (d = 3 at support 2^16: N >= 24).  Every law takes this path,
+    whatever its file format.  The empty mask has entropy exactly 0.
     Raises ``IndexError`` for a mask outside 0..2^N - 1.
     """
-    N, d = law.N, law.d
     masks = np.asarray(masks, dtype=object)
     flat = masks.ravel()
-    if np.any((flat < 0) | (flat > full_mask(N))):
-        raise IndexError(f"a mask references coordinates >= N={N}")
-    if law.kind == "dense":
-        shaped = law.table.reshape((d,) * N)
-        out = np.empty(flat.size)
-        for j, mask in enumerate(flat.tolist()):
-            drop = tuple(i for i in range(N) if not (mask >> i) & 1)
-            out[j] = entr(shaped.sum(axis=drop)).sum()
-    else:
-        out = _keyed_entropies(law, flat)
+    if np.any((flat < 0) | (flat > full_mask(law.N))):
+        raise IndexError(f"a mask references coordinates >= N={law.N}")
+    out = _keyed_entropies(law, flat)
     out[flat == 0] = 0.0
     return out.reshape(masks.shape) + 0.0
 
@@ -435,15 +413,16 @@ def _sorted_entropies(law: SystemLaw) -> np.ndarray:
 
 
 def _lattice_entropies(law: SystemLaw) -> np.ndarray:
-    """Lattice path of :func:`all_subset_entropies`: the marginal of S is
-    the marginal of S + {i} summed over axis i.
+    """Lattice path of :func:`all_subset_entropies`: the support is
+    scattered into its d^N table, and the marginal of S is the marginal of
+    S + {i} summed over axis i.
 
     The walk starts at the full mask and only drops coordinates below the
     last one dropped, so every subset is reached exactly once and the
     recursion holds one marginal per level.
     """
     N, d = law.N, law.d
-    table = law.table if law.kind == "dense" else _scatter(law)
+    table = _scatter(law)
     out = np.empty(1 << N)
 
     def walk(marg, mask, axes, below):
@@ -467,7 +446,7 @@ def all_subset_entropies(law: SystemLaw, *,
 
     - the *lattice* path sums one axis of the marginal of S + {i} to get
       the marginal of S, walking the subset lattice once: (d+1)^N work and
-      at most ~2 d^N floats held at a time (a sparse law is first scattered
+      at most ~2 d^N floats held at a time (the support is first scattered
       into its d^N table);
     - the *sort* path (the one :func:`subset_entropies` uses) groups the
       support by its projected configuration, mask by mask: about
@@ -535,7 +514,7 @@ def entropy_profile_exact(law: SystemLaw, *,
     over all C(N,k) subsets of size k."""
     N = law.N
     H = all_subset_entropies(law, cap=cap)
-    k = _popcounts(np.arange(1 << N, dtype=np.uint32)).astype(np.intp)
+    k = np.bitwise_count(np.arange(1 << N, dtype=np.uint32)).astype(np.intp)
     sums = np.bincount(k, weights=H, minlength=N + 1)
     counts = np.array([math.comb(N, j) for j in range(N + 1)], dtype=float)
     return EntropyProfile(N, sums / counts / (N * math.log(law.d)))

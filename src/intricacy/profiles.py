@@ -8,7 +8,6 @@ exact profiles the two agree to floating precision.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .coefficients import CoefficientTable, MixingMeasure, binomials
 from .laws import (DEFAULT_SUBSET_CAP, EntropyProfile, SystemLaw,
-                   all_subset_entropies, entropy_profile_exact, _popcounts)
+                   all_subset_entropies, entropy_profile_exact)
 
 
 def intricacy_defn(law: SystemLaw, table: CoefficientTable, *,
@@ -26,7 +25,7 @@ def intricacy_defn(law: SystemLaw, table: CoefficientTable, *,
         raise ValueError(f"table size {table.N} != law size {law.N}")
     H = all_subset_entropies(law, cap=cap)
     mi = H + H[::-1] - H[-1]
-    k = _popcounts(np.arange(H.size, dtype=np.uint32)).astype(np.intp)
+    k = np.bitwise_count(np.arange(H.size, dtype=np.uint32)).astype(np.intp)
     return float(np.dot(table.c[k], mi))
 
 
@@ -107,9 +106,6 @@ class DeficitReport:
         return {"x": self.x, "icn_x": self.icn_x, "deficit": self.deficit,
                 "normalized_intricacy": self.normalized_intricacy,
                 "d": self.d, "N": self.N, "family": self.family}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def deficit_report(law: SystemLaw, table: CoefficientTable, *,

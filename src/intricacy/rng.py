@@ -1,11 +1,11 @@
 """Portable 64-bit pseudorandom generator for reproducible experiment streams.
 
 All stochastic contracts of this package (sparse support draws, uniform
-subset sampling) are driven by splitmix64, a tiny documented generator with
-published reference output (state advances by the golden-ratio increment
-0x9E3779B97F4A7C15; output is a 64-bit finalizer of the state).  A pure
-Python implementation keeps the byte-exact stream trivially portable across
-platforms and languages.
+subset sampling, the maximizer search's starting points) are driven by
+splitmix64, a tiny documented generator with published reference output
+(state advances by the golden-ratio increment 0x9E3779B97F4A7C15; output
+is a 64-bit finalizer of the state).  A pure Python implementation keeps
+the byte-exact stream trivially portable across platforms and languages.
 """
 from __future__ import annotations
 

@@ -95,6 +95,21 @@ def exit_code(capsys, argv):
                  ["entropy"], id="d-above-256"),
     pytest.param(None, ["construct", "--d", "300", "--N", "2", "--M", "1",
                         "--seed", "1"], id="construct-d-above-256"),
+    pytest.param({"d": 2.9, "N": 1, "support": [{"config": [0], "p": 0.5},
+                                                {"config": [1], "p": 0.5}]},
+                 ["entropy"], id="fractional-d"),
+    pytest.param({"d": 2, "N": 1.5, "dense": [0.5, 0.5]}, ["entropy"],
+                 id="fractional-N"),
+    pytest.param({"d": "2", "N": 1, "dense": [0.5, 0.5]}, ["entropy"],
+                 id="string-d"),
+    pytest.param({"d": 2, "N": True, "dense": [0.5, 0.5]}, ["entropy"],
+                 id="boolean-N"),
+    pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
+                        "--restarts", "0"], id="maximize-zero-restarts"),
+    pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
+                        "--iterations", "-1"], id="maximize-negative-iterations"),
+    pytest.param(None, ["sweep", "--d", "2", "--x", "0.5", "--N", "6",
+                        "--seeds", "0..-1"], id="sweep-empty-seed-range"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
     if law is not None:
@@ -130,6 +145,13 @@ def test_entropy_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "entropy", "/nonexistent/law.json")
     assert code == 2
     assert "error" in err
+
+
+def test_law_path_that_is_a_directory_exits_2(capsys, tmp_path):
+    code, err = exit_code(capsys, ["entropy", str(tmp_path)])
+    assert code == 2
+    assert "error" in err
+    assert "Traceback" not in err
 
 
 def test_entropy_malformed_json_exits_2(capsys, tmp_path):
@@ -381,6 +403,9 @@ def test_maximize_json(capsys, tmp_path):
     assert obj["certificate"] >= -1e-9
     assert obj["intricacy_nats"] >= 0.0
     assert obj["law"]["d"] == 2 and obj["law"]["N"] == 2
+    # plain floats, not numpy 2's np.float64(...) repr
+    assert err == (f"best I={obj['intricacy_nats']!r} "
+                   f"certificate={obj['certificate']!r}\n")
 
 
 def test_maximize_cap_exit_3(capsys):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from intricacy import (CapExceededError, SystemLaw, coefficient_table,
-                       convergence_sweep, deficit_report, diagonal_law,
-                       est_measure, ic_limit, ic_n, intricacy_defn,
+from intricacy import (CapExceededError, SplitMix64, SystemLaw,
+                       coefficient_table, convergence_sweep, deficit_report,
+                       diagonal_law, est_measure, ic_limit, ic_n, intricacy_defn,
                        maximizer_search, p_symmetric_measure, parse_family,
                        profile_convergence, sample_sparse_system,
                        simultaneity_check, threshold_census, uniform_law,
@@ -237,6 +237,23 @@ def test_maximizer_caps():
         maximizer_search(2, 7, coefficient_table(est_measure(), 7))
     with pytest.raises(ValueError):
         maximizer_search(2, 2, coefficient_table(est_measure(), 3))
+
+
+@pytest.mark.parametrize("restarts,iterations", [(0, 10), (-1, 10), (1, -1)])
+def test_maximizer_rejects_empty_search(restarts, iterations):
+    with pytest.raises(ValueError):
+        maximizer_search(2, 2, coefficient_table(est_measure(), 2),
+                         restarts=restarts, iterations=iterations)
+
+
+def test_maximizer_starts_on_the_splitmix64_stream():
+    # a Dirichlet(1) start is d^N Exp(1) draws -log(1 - u), normalized
+    stream = SplitMix64(4)
+    draws = np.array([-math.log1p(-stream.uniform()) for _ in range(8)])
+    res = maximizer_search(2, 3, coefficient_table(est_measure(), 3),
+                           restarts=1, iterations=0, seed=4)
+    assert np.allclose(res.law.table, draws / draws.sum(), rtol=1e-12, atol=0.0)
+    assert type(res.intricacy) is float
 
 
 # --- simultaneity -------------------------------------------------------------------

@@ -156,6 +156,45 @@ def test_marginal_preserves_representation():
     assert marginal(diagonal_law(2, 3), 0b011).kind == "sparse"
 
 
+def _table_with_zeros(gen, d, N):
+    table = gen.dirichlet(np.ones(d**N))
+    table[gen.permutation(d**N)[: d**N // 3]] = 0.0
+    return table / table.sum()
+
+
+@pytest.mark.parametrize("d,N", [(2, 5), (3, 3)])
+def test_dense_law_is_held_as_its_support(d, N):
+    gen = np.random.default_rng(10 * d + N)
+    table = _table_with_zeros(gen, d, N)
+    law = SystemLaw.dense(d, N, table)
+    assert law.table.tobytes() == laws._normalized(table).tobytes()
+    shaped = law.table.reshape((d,) * N)
+    # the transforms keep the dense file format and act on the table
+    mask = 0b101
+    m = marginal(law, mask)
+    drop = tuple(i for i in range(N) if not (mask >> i) & 1)
+    assert m.kind == "dense"
+    assert np.allclose(m.table, shaped.sum(axis=drop).ravel(),
+                       rtol=0.0, atol=1e-15)
+    perm = gen.permutation(N)
+    p = laws.permute_coordinates(law, perm)
+    assert p.kind == "dense"
+    assert np.array_equal(p.table, shaped.transpose(np.argsort(perm)).ravel())
+    maps = [gen.permutation(d) for _ in range(N)]
+    r = laws.relabel_symbols(law, maps)
+    assert r.kind == "dense"
+    inverse = np.ix_(*[np.argsort(t) for t in maps])
+    assert np.array_equal(r.table, shaped[inverse].ravel())
+    # the sort path and the lattice walk give the same entropies
+    assert np.allclose(laws.subset_entropies(law, np.arange(1 << N)),
+                       laws._lattice_entropies(law), rtol=0.0, atol=1e-12)
+
+
+def test_dense_file_writes_negative_zero_as_zero():
+    law = SystemLaw.dense(2, 1, [-0.0, 1.0])
+    assert law.to_json() == '{"d": 2, "N": 1, "dense": [0.0, 1.0]}'
+
+
 # --- subset entropy / MI / conditional ------------------------------------
 
 def test_subset_entropy_product_bits():

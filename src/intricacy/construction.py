@@ -58,17 +58,18 @@ def sample_sparse_system(spec: ConstructionSpec, *,
 
     Each configuration is drawn coordinate by coordinate (coordinate 1
     first) with one bounded splitmix64 draw per symbol, so the output is a
-    byte-exact function of the spec.  Each distinct drawn row gets mass
-    (number of draws) / d^M.
+    byte-exact function of the spec.  The d^M * N symbols come from one
+    :meth:`SplitMix64.randbelow_array` call, which computes the stream in
+    numpy blocks and equals scalar ``randbelow(d)`` calls value for value.
+    Each distinct drawn row gets mass (number of draws) / d^M.
     """
     d, N, M = spec.d, spec.N, spec.M
     draws = d**M
     if draws > cap:
         raise CapExceededError(
             f"d^M = {draws} exceeds the support cap {cap}")
-    randbelow = SplitMix64(spec.seed).randbelow
-    rows = np.fromiter((randbelow(d) for _ in range(draws * N)),
-                       dtype=np.uint8, count=draws * N).reshape(draws, N)
+    rows = SplitMix64(spec.seed).randbelow_array(d, draws * N)
+    rows = rows.astype(np.uint8, copy=False).reshape(draws, N)
     configs, counts = _group_rows(rows, np.ones(draws))
     return SystemLaw.sparse(d, N, configs, counts / draws)
 

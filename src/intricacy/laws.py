@@ -90,9 +90,12 @@ class SystemLaw:
         significant); only its nonzero cells are kept."""
         _check_sizes(d, N)
         table = np.asarray(table, dtype=float).ravel()
-        if table.size != d**N:
+        # d >= 2 gives d^N > size once N > bits(size): rejected before d**N
+        # is formed, as that power grows without bound in N
+        if N > table.size.bit_length() or table.size != d**N:
             raise LawValidationError(
-                f"dense table must have d^N = {d**N} entries, got {table.size}")
+                f"dense table must have d^N entries for d={d}, N={N}, "
+                f"got {table.size}")
         table = _normalized(table)
         # nonzero cells in C order: lexicographic, coordinate 1 first
         configs = np.argwhere(table.reshape((d,) * N)).astype(np.uint8)

@@ -68,6 +68,9 @@ def exit_code(capsys, argv):
     return code, capsys.readouterr().err
 
 
+HUGE_DENSE_N = {"d": 2, "N": 20000, "dense": [1.0]}
+
+
 @pytest.mark.parametrize("law,argv", [
     pytest.param({"N": 1, "dense": [0.5, 0.5]}, ["entropy"],
                  id="law-without-d"),
@@ -110,6 +113,7 @@ def exit_code(capsys, argv):
                         "--iterations", "-1"], id="maximize-negative-iterations"),
     pytest.param(None, ["sweep", "--d", "2", "--x", "0.5", "--N", "6",
                         "--seeds", "0..-1"], id="sweep-empty-seed-range"),
+    pytest.param(HUGE_DENSE_N, ["entropy"], id="huge-dense-N"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
     if law is not None:
@@ -120,6 +124,9 @@ def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
     assert code == 2
     assert "error" in err
     assert "Traceback" not in err
+    if law is HUGE_DENSE_N:
+        # rejected on its size before the 6000-digit d^N is formed
+        assert "dense table must have d^N entries" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -294,6 +301,8 @@ CONSTRUCT_SHA256 = {
     (5, 5, 3, 2): "129322582fe8ece742f9cf5a3b5b92a0dcc534952c848ef7fb0ed194f027d259",
     (2, 16, 8, 1): "951d43172e221396959072ac04deb190eb743dfdb2119a3978a0f3aefdcf5035",
     (3, 12, 6, 4): "a673b00d7142624a61813e98575e9a7f260cf6eda0bebaf666f8084585f48d7c",
+    # the benchmark's large_n shape, whose 65536 x 22 draws span many blocks
+    (2, 22, 16, 77): "5717a695c362d3a2657d0cbcf858ab34e6801c3e34c4cbc823cfa80ee937fae3",
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from intricacy import (CapExceededError, ConstructionSpec, SplitMix64,
-                       entropy, entropy_profile_exact, est_measure,
+                       SystemLaw, entropy, entropy_profile_exact, est_measure,
                        expected_subset_entropy, entropy_envelope, m_from_target,
                        realized_profile, sample_sparse_system, subset_entropy)
 from intricacy.construction import expected_subset_entropy_detail
@@ -40,6 +41,21 @@ def test_sampling_matches_raw_generator_stream():
     configs, probs = law.support()
     got = {tuple(int(s) for s in c): float(p) for c, p in zip(configs, probs)}
     assert got == {c: n / 3 for c, n in counts.items()}
+
+
+@pytest.mark.parametrize("d,N,M", [(2, 6, 4), (3, 5, 3), (5, 4, 2),
+                                   (7, 3, 2), (256, 3, 1)])
+def test_sampling_equals_scalar_draws(d, N, M):
+    # the block draws reproduce one scalar randbelow(d) call per symbol
+    rng = SplitMix64(91)
+    draws = d**M
+    counts = collections.Counter(
+        tuple(rng.randbelow(d) for _ in range(N)) for _ in range(draws))
+    expected = SystemLaw.sparse(d, N, list(counts),
+                                [n / draws for n in counts.values()])
+    law = sample_sparse_system(ConstructionSpec(d, N, M, seed=91))
+    assert np.array_equal(law.configs, expected.configs)
+    assert np.array_equal(law.probs, expected.probs)
 
 
 def test_m_zero_is_a_point_mass():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from intricacy import SplitMix64
@@ -49,3 +50,37 @@ def test_sample_subset_mask_popcount():
         m = r.sample_subset_mask(12, 5)
         assert bin(m).count("1") == 5
         assert m < (1 << 12)
+
+
+BOUNDS = [1, 2, 3, 5, 7, 255, 256, 2**63 + 1, 3 * 2**62]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+@pytest.mark.parametrize("bound", BOUNDS)
+def test_randbelow_array_is_the_scalar_stream(seed, bound):
+    # 2^16 + 5 values span more than one block, so rejected raw values
+    # (25-50% of them for the two largest bounds) are dropped across a
+    # block boundary
+    for count in (0, 1, 17, 2**16 + 5):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        values = block.randbelow_array(bound, count)
+        assert values.shape == (count,)
+        assert values.tolist() == [scalar.randbelow(bound) for _ in range(count)]
+        assert block.state == scalar.state
+        assert block.randbelow(bound) == scalar.randbelow(bound)
+
+
+def test_randbelow_array_dtype_holds_bound():
+    r = SplitMix64(1)
+    assert r.randbelow_array(256, 4).dtype == np.uint8
+    assert r.randbelow_array(257, 4).dtype == np.uint16
+    assert r.randbelow_array(2**64 - 1, 4).dtype == np.uint64
+
+
+@pytest.mark.parametrize("bound,count", [(0, 3), (-2, 3), (2**64, 3),
+                                         (2**65 + 1, 3), (2, -1)])
+def test_randbelow_array_rejects_bad_arguments(bound, count):
+    r = SplitMix64(3)
+    with pytest.raises(ValueError):
+        r.randbelow_array(bound, count)
+    assert r.state == 3

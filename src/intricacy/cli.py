@@ -260,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("census", help="threshold census on a construction")
-    p.add_argument("--family", default="est")
+    p.add_argument("--family", default="est",
+                   help="label written to the CSV's family column; the "
+                        "census does not depend on the family")
     construction(p)
     p.add_argument("--census-seed", type=int, required=True)
     p.add_argument("--y", type=float, required=True)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -340,7 +342,7 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
     np.not_equal(Ks[:, 1:], Ks[:, :-1], out=starts[:, 1:])
     firsts = np.flatnonzero(starts)
     sums = np.add.reduceat(probs[order].ravel(), firsts)
-    entr(sums, out=sums)
+    sums *= -np.log(sums)               # group sums are > 0
     # reduceat sums each segment pairwise; row j's groups are one segment
     return np.add.reduceat(sums, np.searchsorted(firsts, np.arange(m) * n))
 
@@ -354,6 +356,7 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
     if width > 63:
         # keys cannot share 63 bits with the support index: group the
         # projected rows of each mask instead
+        # serial: no workload runs here, and packed words are the fix
         return np.array([
             entr(_group_rows(configs[:, mask_to_indices(mask, N)], probs)[1]).sum()
             for mask in masks.tolist()])
@@ -367,30 +370,49 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
     pts = configs.astype(kword) @ place
     field = place * kword((1 << b) - 1)
     out = np.empty(masks.size)
-    chunk = min(4096, max(1, 2**20 // probs.size))
-    for start in range(0, masks.size, chunk):
+    # ~2^20 keys in flight over all workers; every row is computed on its
+    # own, so the output does not depend on the chunk size or the workers
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    chunk = max(1, min(4096, 2**20 // probs.size) // cores)
+    starts = range(0, masks.size, chunk)
+
+    def run(start):
         ms = masks[start:start + chunk].astype(kword)
         fields = ((ms[:, None] >> coords) & kword(1)) @ field
         K = np.bitwise_and(fields[:, None], pts, dtype=word)
         out[start:start + ms.size] = _grouped_entropies(K, probs)
+
+    workers = min(cores, len(starts))
+    if workers <= 1:
+        for start in starts:
+            run(start)
+    else:
+        # numpy releases the GIL in its sorts and ufunc loops
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, starts))
     return out
 
 
 def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
-    """H(X_S) in nats for every mask S in ``masks`` (any integers, Python
-    ints up to 2^N - 1 for any N; repeats and any order allowed), in the
-    shape of ``masks``.
+    """H(X_S) in nats for every mask S in ``masks`` (Python or numpy
+    integers, Python ints up to 2^N - 1 for any N; repeats and any order
+    allowed), in the shape of ``masks``.
 
     The support is keyed once per call by bit fields: with b = bits(d - 1),
     symbol x_{i+1} sits in bits b*i .. b*i+b-1 of one integer, and the key
     under mask S is that integer and-ed with S's fields (all b bits of each
     coordinate in S; for d = 2, S itself).  Like base-d digits these keys
     put coordinate N most significant, so they sort in lexicographic order.
-    Masks go ``min(4096, max(1, 2**20 // support))`` at a time (at most
-    ~2^20 keys per chunk); each row of keys is sorted with the support index
-    packed into its low bits, equal keys are summed, and each row's
-    -p log p terms are added pairwise by ``np.add.reduceat`` (about 1e-15
-    nats at a support of 65k points; a sequential sum misses by ~1e-11).
+    Masks go ``max(1, min(4096, 2**20 // support) // cores)`` at a time,
+    where ``cores`` is the number of CPUs in the process's affinity set, and
+    the chunks run on a thread pool of up to ``cores`` workers (one chunk
+    runs inline), so ~2^20 keys are in flight in total.  Each row of keys is
+    sorted with the support index packed into its low bits, equal keys are
+    summed, and each row's -p log p terms are added pairwise by
+    ``np.add.reduceat`` (about 1e-15 nats at a support of 65k points; a
+    sequential sum misses by ~1e-11).  Every row is computed on its own, so
+    the output is bit-identical at any chunk size and worker count.
 
     One budget, width = b*N + bits(support - 1), decides once per law:
     uint32 keys when width <= 32, uint64 up to 63, and beyond that the
@@ -399,10 +421,14 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     power of two that grouping starts at a smaller N than N*log2(d) would
     give (d = 3 at support 2^16: N >= 24).  Every law takes this path,
     whatever its file format.  The empty mask has entropy exactly 0.
-    Raises ``IndexError`` for a mask outside 0..2^N - 1.
+    Raises ``TypeError`` for a mask that is not an integer and
+    ``IndexError`` for a mask outside 0..2^N - 1.
     """
     masks = np.asarray(masks, dtype=object)
     flat = masks.ravel()
+    for mask in flat:
+        if not isinstance(mask, (int, np.integer)):
+            raise TypeError(f"mask {mask!r} is not an integer")
     if np.any((flat < 0) | (flat > full_mask(law.N))):
         raise IndexError(f"a mask references coordinates >= N={law.N}")
     out = _keyed_entropies(law, flat)
@@ -453,8 +479,9 @@ def all_subset_entropies(law: SystemLaw, *,
       into its d^N table);
     - the *sort* path (the one :func:`subset_entropies` uses) groups the
       support by its projected configuration, mask by mask: about
-      2^N * support * log(support) work and at most ~2^20 keys in memory
-      at a time.
+      2^N * support * log(support) work, with chunks of masks run on every
+      CPU in the process's affinity set and ~2^20 keys in memory at a time
+      over all of them; the output is bit-identical at any worker count.
 
     The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
     high-support laws; the sort path otherwise, e.g. for the sparse

@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -451,6 +453,92 @@ def test_subset_entropies_out_of_range_masks():
         subset_entropy(law, 0b100)
     with pytest.raises(IndexError):
         mutual_information(law, 0b101)
+
+
+@pytest.mark.parametrize("bad", [3.5, "3", np.float64(2.0), None])
+def test_subset_entropies_rejects_non_integer_masks(bad):
+    law = diagonal_law(2, 2)
+    with pytest.raises(TypeError, match=re.escape(f"mask {bad!r} ")):
+        laws.subset_entropies(law, [1, bad])
+
+
+def _pool_widths(monkeypatch, cores):
+    """Run the kernel as if the process may use ``cores`` CPUs, and record
+    the worker count of every pool it starts."""
+    monkeypatch.setattr(laws.os, "sched_getaffinity",
+                        lambda pid: set(range(cores)), raising=False)
+    pools = []
+
+    class Recording(laws.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(laws, "ThreadPoolExecutor", Recording)
+    return pools
+
+
+@pytest.mark.parametrize("spec", [(2, 16, 8, 0), (3, 12, 6, 4)],
+                         ids=["2-16-8", "3-12-6"])
+def test_all_subset_entropies_do_not_depend_on_workers(monkeypatch, spec):
+    law = it.sample_sparse_system(it.ConstructionSpec(*spec))
+    assert _kernel_path(monkeypatch, law) == ["_sorted_entropies"]
+    monkeypatch.undo()
+    assert _pool_widths(monkeypatch, 1) == []
+    one = all_subset_entropies(law)
+    pools = _pool_widths(monkeypatch, 2)
+    two = all_subset_entropies(law)
+    assert pools == [2]
+    assert np.array_equal(one, two)
+
+
+def test_subset_entropies_do_not_depend_on_workers(monkeypatch):
+    # dense d=2, N=14: 16384 support points, so 64 masks a chunk on one
+    # core, 32 on two and 8 on eight; 300 masks span 5, 10 and 38 chunks
+    gen = np.random.default_rng(14)
+    law = random_dense_law(gen, 2, 14)
+    masks = [int(m) for m in gen.integers(1, 1 << 14, size=260)]
+    masks += masks[:30] + [0] * 5 + [full_mask(14)] * 5
+    masks = [masks[i] for i in gen.permutation(len(masks))]
+    pools = _pool_widths(monkeypatch, 1)
+    one = laws.subset_entropies(law, masks)
+    assert pools == []
+    pools = _pool_widths(monkeypatch, 2)
+    two = laws.subset_entropies(law, masks)
+    assert pools == [2]
+    assert np.array_equal(one, two)
+    assert np.all(two[np.array(masks) == 0] == 0.0)
+    # more workers than cores, switching threads as often as possible
+    pools = _pool_widths(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        eight = laws.subset_entropies(law, masks)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [8]
+    assert np.array_equal(one, eight)
+    pmap = naive_pmap(law)
+    for m in masks[:8]:
+        assert two[masks.index(m)] == pytest.approx(
+            naive_subset_entropy(pmap, _keep(m, 14)), abs=1e-12)
+
+
+def test_one_chunk_call_starts_no_pool(monkeypatch):
+    # at 65k support a chunk holds 8 masks on two cores, so the 4-mask
+    # calls of the sampled routes run inline
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77))
+    stream = it.SplitMix64(1)
+    masks = [stream.sample_subset_mask(22, k) for k in (1, 8, 15, 21)]
+    want = laws.subset_entropies(law, masks)
+    monkeypatch.setattr(laws.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+    def refuse(*_):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(laws, "ThreadPoolExecutor", refuse)
+    assert np.array_equal(laws.subset_entropies(law, masks), want)
 
 
 def test_sampled_routes_do_not_build_marginals(monkeypatch):

@@ -124,7 +124,7 @@ def cmd_construct(args) -> int:
     law = sample_sparse_system(spec, cap=args.cap_support)
     x_n = entropy(law) / (law.N * math.log(law.d))
     with _out_stream(args) as out:
-        out.write(json.dumps(law.to_json_dict()) + "\n")
+        out.write(law.to_json() + "\n")
     print(f"d={spec.d} N={spec.N} M={spec.M} seed={spec.seed} "
           f"support={law.support_size} x_N={x_n!r}", file=sys.stderr)
     return 0
@@ -198,6 +198,18 @@ def _parse_range(text: str) -> list[int]:
     return out
 
 
+def _cap(text: str) -> int:
+    """A cap flag's value: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"a cap must be an integer >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intricacy",
@@ -216,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         size.add_argument("--M", type=int)
         size.add_argument("--x", type=float)
         p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--cap-support", type=int, default=DEFAULT_SUPPORT_CAP)
+        p.add_argument("--cap-support", type=_cap, default=DEFAULT_SUPPORT_CAP)
 
     p = sub.add_parser("entropy", help="entropy of a law file")
     p.add_argument("law")
@@ -228,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int)
     output(p)
-    p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
+    p.add_argument("--cap-subsets", type=_cap, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("intricacy", help="deficit report per family")
     p.add_argument("law")
     p.add_argument("--families", default="est")
     output(p)
-    p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
+    p.add_argument("--cap-subsets", type=_cap, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_intricacy)
 
     p = sub.add_parser("coeffs", help="coefficient table of a family")
@@ -256,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", required=True, help="e.g. 8..16 or 8,12,16")
     p.add_argument("--seeds", required=True, help="e.g. 0..19")
     output(p, fmt=False)
-    p.add_argument("--cap-subsets", type=int, default=DEFAULT_SUBSET_CAP)
+    p.add_argument("--cap-subsets", type=_cap, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("census", help="threshold census on a construction")

@@ -247,7 +247,8 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
     splitmix64 stream of ``seed``: d^N Exp(1) draws -log(1 - u), normalized.
     The certificate ic_n(x_achieved) - I/(N log d) is nonnegative for every
     restart by the deficit identity.  Raises ``ValueError`` unless
-    ``restarts >= 1`` and ``iterations >= 0``.
+    ``restarts >= 1``, ``iterations >= 0``, the entropy target (if any) is
+    in [0, 1] and the penalty weight is finite and >= 0.
     """
     if N > SEARCH_CAP_N or d > SEARCH_CAP_D:
         raise CapExceededError(
@@ -257,6 +258,11 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
     if restarts < 1 or iterations < 0:
         raise ValueError("maximizer search needs restarts >= 1 and "
                          "iterations >= 0")
+    if entropy_target is not None and not 0.0 <= entropy_target <= 1.0:
+        raise ValueError(f"entropy target {entropy_target!r} is not in [0, 1]")
+    if not 0.0 <= penalty_weight < math.inf:
+        raise ValueError(f"penalty weight {penalty_weight!r} is not a finite "
+                         "number >= 0")
     rng = SplitMix64(seed)
     keys = _subset_keys(d, N)
     shape = (d,) * N

@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -73,11 +74,13 @@ def _group_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
 class SystemLaw:
     """Probability measure on {0,...,d-1}^N, held as its nonzero support:
     ``configs`` (distinct rows in lexicographic order, coordinate 1 first)
-    and their weights ``probs``.
+    and their weights ``probs``.  The sort-path keys of the support (see
+    :func:`subset_entropies`) are built on first use and kept with the law,
+    read-only, so every later kernel call and worker shares them.
 
-    ``kind`` only names the law-file format :meth:`to_json_dict` writes:
-    "dense" (the flat table of d^N probabilities in mixed-radix order) or
-    "sparse" (the support rows with their weights).
+    ``kind`` only names the law-file format :meth:`to_json` writes: "dense"
+    (the flat table of d^N probabilities in mixed-radix order) or "sparse"
+    (the support rows with their weights).
     """
 
     d: int
@@ -145,22 +148,37 @@ class SystemLaw:
         for a sparse law."""
         return _scatter(self) if self.kind == "dense" else None
 
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """Read-only key of each support row: symbol x_{i+1} in bits
+        b*i .. b*i+b-1, b = bits(d - 1), in uint32 when b*N <= 32 and uint64
+        otherwise.  Only the packed-key sort path reads it, so it is built
+        only for laws whose keys fit 63 bits with the support index."""
+        b = (self.d - 1).bit_length()
+        kword = np.uint32 if b * self.N <= 32 else np.uint64
+        place = kword(1) << (kword(b) * np.arange(self.N, dtype=kword))
+        keys = self.configs.astype(kword) @ place
+        keys.setflags(write=False)
+        return keys
+
     # --- serialization (file contract) ---------------------------------
 
     def to_json_dict(self) -> dict:
-        if self.kind == "dense":
-            return {"d": self.d, "N": self.N, "dense": self.table.tolist()}
-        return {
-            "d": self.d,
-            "N": self.N,
-            "support": [
-                {"config": cfg, "p": p}
-                for cfg, p in zip(self.configs.tolist(), self.probs.tolist())
-            ],
-        }
+        """The parsed law file: ``json.loads`` of :meth:`to_json`."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        """The law file's text, as ``json.dumps`` writes it.  A dense law
+        is ``{"d", "N", "dense": [d^N floats]}``; a sparse one is ``{"d",
+        "N", "support": [{"config": [symbols], "p": mass}, ...]}``, written
+        straight from ``configs`` and ``probs`` (see :func:`_support_text`)
+        with the same bytes as ``json.dumps`` of those entry dicts."""
+        if self.kind == "dense":
+            return json.dumps({"d": self.d, "N": self.N,
+                               "dense": self.table.tolist()})
+        head = f'{{"d": {self.d}, "N": {self.N}, "support": ['.encode()
+        body = _support_text(self.d, self.configs, self.probs)
+        return b"".join([head, *body, b"]}"]).decode("ascii")
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SystemLaw":
@@ -176,11 +194,53 @@ class SystemLaw:
         except (KeyError, TypeError) as exc:
             raise LawValidationError("malformed law JSON: needs d, N and a "
                                      f"'dense' or 'support' field ({exc!r})") from None
-        return SystemLaw.sparse(d, N, np.array(configs).reshape(-1, N), probs)
+        return SystemLaw.sparse(d, N, np.array(configs).reshape(len(configs), N),
+                                probs)
 
     @staticmethod
     def from_json(text: str) -> "SystemLaw":
         return SystemLaw.from_json_dict(json.loads(text))
+
+
+def _text_table(texts: list[str]) -> np.ndarray:
+    """One row per text: its ASCII bytes right-aligned, zero bytes before."""
+    width = max(map(len, texts))
+    table = np.zeros((len(texts), width), dtype=np.uint8)
+    for row, text in zip(table, texts):
+        row[width - len(text):] = np.frombuffer(text.encode(), np.uint8)
+    return table
+
+
+def _support_text(d: int, configs: np.ndarray, probs: np.ndarray) -> list[bytes]:
+    """The support entries of a sparse law file, in blocks of 4096 rows,
+    byte for byte as ``json.dumps`` writes them (ints by ``int.__repr__``,
+    floats by ``float.__repr__``), without the last entry's ``, ``.
+
+    Each block is a uint8 matrix of one fixed-width row per entry: the
+    literal JSON bytes, and zero-padded fields that take each symbol's text
+    and each mass's ``repr`` from a lookup table (one ``repr`` per distinct
+    mass).  Dropping the zero bytes leaves the entries."""
+    n, N = configs.shape
+    symbols = _text_table([str(s) for s in range(d)])
+    values, which = np.unique(probs, return_inverse=True)
+    masses = _text_table([repr(p) for p in values.tolist()])
+    template = np.frombuffer("".join([
+        '{"config": [', ", ".join(["\0" * symbols.shape[1]] * N),
+        '], "p": ', "\0" * masses.shape[1], "}, "]).encode(), np.uint8)
+    # the zero bytes are the N symbol fields, then the mass field
+    fields = np.flatnonzero(template == 0)
+    sym_cols, mass_cols = np.split(fields, [N * symbols.shape[1]])
+    blocks = []
+    for start in range(0, n, 4096):
+        block = slice(start, start + 4096)
+        rows = np.empty((len(which[block]), template.size), dtype=np.uint8)
+        rows[:] = template
+        rows[:, sym_cols] = symbols[configs[block]].reshape(len(rows), -1)
+        rows[:, mass_cols] = masses[which[block]]
+        flat = rows.ravel()
+        blocks.append(flat[flat != 0].tobytes())
+    blocks[-1] = blocks[-1][:-2]
+    return blocks
 
 
 def _integer(value, name: str) -> int:
@@ -361,14 +421,14 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
             entr(_group_rows(configs[:, mask_to_indices(mask, N)], probs)[1]).sum()
             for mask in masks.tolist()])
     # symbol x_{i+1} sits in bits b*i .. b*i+b-1; a mask's fields set all b
-    # bits of each coordinate it holds.  Keys are built in the narrowest
-    # word that holds b*N bits and written into the word of the whole width.
-    kword = np.uint32 if b * N <= 32 else np.uint64
+    # bits of each coordinate it holds.  The law keeps its keys, built in
+    # the narrowest word that holds b*N bits; projected keys are written
+    # into the word of the whole width.
+    pts = law._keys
+    kword = pts.dtype.type
     word = np.uint32 if width <= 32 else np.uint64
     coords = np.arange(N, dtype=kword)
-    place = kword(1) << (kword(b) * coords)
-    pts = configs.astype(kword) @ place
-    field = place * kword((1 << b) - 1)
+    field = (kword(1) << (kword(b) * coords)) * kword((1 << b) - 1)
     out = np.empty(masks.size)
     # ~2^20 keys in flight over all workers; every row is computed on its
     # own, so the output does not depend on the chunk size or the workers
@@ -399,11 +459,13 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     integers, Python ints up to 2^N - 1 for any N; repeats and any order
     allowed), in the shape of ``masks``.
 
-    The support is keyed once per call by bit fields: with b = bits(d - 1),
-    symbol x_{i+1} sits in bits b*i .. b*i+b-1 of one integer, and the key
-    under mask S is that integer and-ed with S's fields (all b bits of each
+    The support is keyed by bit fields: with b = bits(d - 1), symbol
+    x_{i+1} sits in bits b*i .. b*i+b-1 of one integer, and the key under
+    mask S is that integer and-ed with S's fields (all b bits of each
     coordinate in S; for d = 2, S itself).  Like base-d digits these keys
     put coordinate N most significant, so they sort in lexicographic order.
+    The support's keys are built on the law's first call and kept with it,
+    read-only, so later calls and every worker share them.
     Masks go ``max(1, min(4096, 2**20 // support) // cores)`` at a time,
     where ``cores`` is the number of CPUs in the process's affinity set, and
     the chunks run on a thread pool of up to ``cores`` workers (one chunk

@@ -114,6 +114,25 @@ HUGE_DENSE_N = {"d": 2, "N": 20000, "dense": [1.0]}
     pytest.param(None, ["sweep", "--d", "2", "--x", "0.5", "--N", "6",
                         "--seeds", "0..-1"], id="sweep-empty-seed-range"),
     pytest.param(HUGE_DENSE_N, ["entropy"], id="huge-dense-N"),
+    pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
+                        "--x", "2"], id="maximize-target-above-1"),
+    pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
+                        "--x", "-0.5"], id="maximize-negative-target"),
+    pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
+                        "--x", "nan"], id="maximize-nan-target"),
+    pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
+                        "--penalty", "-5"], id="maximize-negative-penalty"),
+    pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
+                        "--penalty", "inf"], id="maximize-infinite-penalty"),
+    pytest.param(None, ["construct", "--d", "2", "--N", "4", "--M", "2",
+                        "--seed", "1", "--cap-support", "-1"],
+                 id="construct-negative-cap-support"),
+    pytest.param(None, ["sweep", "--d", "2", "--x", "0.5", "--N", "6",
+                        "--seeds", "0", "--cap-subsets", "-1"],
+                 id="sweep-negative-cap-subsets"),
+    pytest.param({"d": 2, "N": 1, "dense": [0.5, 0.5]},
+                 ["profile", "--cap-subsets", "-1"],
+                 id="profile-negative-cap-subsets"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
     if law is not None:
@@ -127,6 +146,9 @@ def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
     if law is HUGE_DENSE_N:
         # rejected on its size before the 6000-digit d^N is formed
         assert "dense table must have d^N entries" in err
+    if argv[0] == "maximize" and argv[-2] in ("--x", "--penalty"):
+        # the message names the rejected value
+        assert argv[-1] in err
 
 
 @pytest.mark.parametrize("argv", [

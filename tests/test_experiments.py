@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,24 @@ def test_maximizer_rejects_empty_search(restarts, iterations):
     with pytest.raises(ValueError):
         maximizer_search(2, 2, coefficient_table(est_measure(), 2),
                          restarts=restarts, iterations=iterations)
+
+
+@pytest.mark.parametrize("option,value", [
+    ("entropy_target", 2.0), ("entropy_target", -0.5),
+    ("entropy_target", math.nan), ("penalty_weight", -5.0),
+    ("penalty_weight", math.inf), ("penalty_weight", math.nan)])
+def test_maximizer_rejects_bad_target_or_penalty(option, value):
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        maximizer_search(2, 2, coefficient_table(est_measure(), 2),
+                         restarts=1, iterations=2, **{option: value})
+
+
+def test_maximizer_accepts_edge_targets_and_zero_penalty():
+    table = coefficient_table(est_measure(), 2)
+    for target in (0.0, 1.0):
+        res = maximizer_search(2, 2, table, restarts=1, iterations=2,
+                               entropy_target=target, penalty_weight=0.0)
+        assert res.certificate >= -1e-9
 
 
 def test_maximizer_starts_on_the_splitmix64_stream():

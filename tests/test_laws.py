@@ -486,9 +486,11 @@ def test_all_subset_entropies_do_not_depend_on_workers(monkeypatch, spec):
     monkeypatch.undo()
     assert _pool_widths(monkeypatch, 1) == []
     one = all_subset_entropies(law)
+    keys = law._keys
     pools = _pool_widths(monkeypatch, 2)
     two = all_subset_entropies(law)
     assert pools == [2]
+    assert law._keys is keys            # the pool shares the law's keys
     assert np.array_equal(one, two)
 
 
@@ -539,6 +541,78 @@ def test_one_chunk_call_starts_no_pool(monkeypatch):
 
     monkeypatch.setattr(laws, "ThreadPoolExecutor", refuse)
     assert np.array_equal(laws.subset_entropies(law, masks), want)
+
+
+def _counting_keys(monkeypatch):
+    """Count how often the law's support keys are built."""
+    prop = SystemLaw.__dict__["_keys"]
+    original = prop.func
+    builds = []
+
+    def build(law):
+        builds.append(law)
+        return original(law)
+
+    monkeypatch.setattr(prop, "func", build)
+    return builds
+
+
+def test_support_keys_are_built_once_per_law(monkeypatch):
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 16, 8, 2))
+    builds = _counting_keys(monkeypatch)
+    stream = it.SplitMix64(2)
+    calls = [[stream.sample_subset_mask(16, k) for k in (1, 5, 9, 15)]
+             for _ in range(3)]
+    first = laws.subset_entropies(law, calls[0])
+    keys = law._keys
+    for masks in calls[1:]:
+        laws.subset_entropies(law, masks)
+    all_subset_entropies(law)
+    assert builds == [law]
+    assert law._keys is keys
+    with pytest.raises(ValueError):
+        keys[0] = 1                     # shared read-only by every call
+    assert not keys.flags.writeable
+    pmap = naive_pmap(law)
+    for m, h in zip(calls[0], first):
+        assert h == pytest.approx(naive_subset_entropy(pmap, _keep(m, 16)),
+                                  abs=1e-12)
+
+
+def test_wide_keys_are_never_built(monkeypatch):
+    # width 70 + 5 > 63: the per-mask grouping branch needs no keys
+    gen = np.random.default_rng(7)
+    configs = np.unique(gen.integers(0, 2, size=(20, 70), dtype=np.uint8), axis=0)
+    law = SystemLaw.sparse(2, 70, configs, gen.dirichlet(np.ones(len(configs))))
+    builds = _counting_keys(monkeypatch)
+    laws.subset_entropies(law, [1, 1 << 69, full_mask(70)])
+    assert builds == []
+    assert "_keys" not in vars(law)
+
+
+@pytest.mark.parametrize("d,N", [(2, 9), (3, 6)])
+def test_transforms_of_a_keyed_law_match_oracle(d, N):
+    gen = np.random.default_rng(d * N)
+    law = _random_law(gen, d, N, sparse=True)
+    all_subset_entropies(law)           # keys cached on the source law
+    assert "_keys" in vars(law)
+    perm = gen.permutation(N)
+    tables = [gen.permutation(d) for _ in range(N)]
+    derived = [laws.permute_coordinates(law, perm),
+               laws.relabel_symbols(law, tables),
+               marginal(law, 0b1011)]
+    masks = [int(m) for m in gen.integers(0, 1 << N, size=12)]
+    for new in derived:
+        assert "_keys" not in vars(new)
+        pmap = naive_pmap(new)
+        ms = [m & full_mask(new.N) for m in masks]
+        want = [naive_subset_entropy(pmap, _keep(m, new.N)) for m in ms]
+        assert np.allclose(laws.subset_entropies(new, ms), want,
+                           rtol=0.0, atol=1e-12)
+        want = [naive_subset_entropy(pmap, _keep(m, new.N))
+                for m in range(1 << new.N)]
+        assert np.allclose(laws._sorted_entropies(new), want,
+                           rtol=0.0, atol=1e-12)
 
 
 def test_sampled_routes_do_not_build_marginals(monkeypatch):
@@ -675,6 +749,46 @@ def test_normalization_has_a_fixed_point():
         law = SystemLaw.dense(d, N, p)
         back = SystemLaw.from_json(law.to_json())
         assert back.table.tobytes() == law.table.tobytes()
+
+
+def _entry_dicts_json(law):
+    """A sparse law file as json.dumps writes its entry dicts."""
+    return json.dumps({"d": law.d, "N": law.N, "support": [
+        {"config": [int(s) for s in cfg], "p": float(p)}
+        for cfg, p in zip(law.configs, law.probs)]})
+
+
+@given(d=st.sampled_from([2, 3, 10, 11, 256]), N=st.integers(0, 6),
+       rows=st.integers(1, 300), dyadic=st.booleans(),
+       alpha=st.sampled_from([0.02, 0.3, 1.0, 20.0]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_sparse_law_file_matches_json_dumps(d, N, rows, dyadic, alpha, seed):
+    gen = np.random.default_rng(seed)
+    configs = np.unique(gen.integers(0, d, size=(rows, N)), axis=0)
+    n = len(configs)
+    if dyadic:
+        # c / 2^m masses: short reprs, many repeated values
+        m = int(gen.integers(9, 40))
+        weights = (gen.multinomial(2**m - n, np.ones(n) / n) + 1) / 2.0**m
+    else:
+        # many distinct repr widths, down to e-notation
+        weights = gen.dirichlet(np.full(n, alpha))
+    law = SystemLaw.sparse(d, N, configs, weights)
+    text = law.to_json()
+    assert text == _entry_dicts_json(law)
+    back = SystemLaw.from_json(text)
+    assert back.configs.tobytes() == law.configs.tobytes()
+    assert back.probs.tobytes() == law.probs.tobytes()
+
+
+def test_sparse_law_file_spans_blocks():
+    # 65536 rows: 16 blocks of 4096, many distinct masses
+    gen = np.random.default_rng(16)
+    configs = np.unique(gen.integers(0, 2, size=(70000, 20), dtype=np.uint8),
+                        axis=0)[:65536]
+    law = SystemLaw.sparse(2, 20, configs, gen.dirichlet(np.ones(len(configs))))
+    assert law.to_json() == _entry_dicts_json(law)
 
 
 def test_json_schema_fields():

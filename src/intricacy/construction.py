@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .coefficients import CoefficientTable, coefficient_table
 from .laws import (MAX_D, CapExceededError, EntropyProfile, SystemLaw,
@@ -82,15 +81,45 @@ def _phi(x: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
+def _binomial_pmf(n: int, p: float, lo: int, hi: int) -> np.ndarray:
+    """P(B = j) for j = lo..hi, B ~ Binomial(n, p), 0 < p < 1.
+
+    The log-ratios log P(j+1)/P(j) = log((n-j)/(j+1) * p/(1-p)) are
+    summed outward from the mode, so no term under- or overflows before
+    ``exp``.  A window that is all of 0..n, or that starts above 0 (a
+    mean +/- 12 sigma window, outside which lies < 1e-30 of the mass), is
+    normalized over itself; a truncated window that starts at 0 is anchored
+    at P(0) = (1-p)^n instead, so its sum falls short of 1 by the mass
+    outside it.
+    """
+    js = np.arange(lo, hi, dtype=float)
+    # one log of the whole ratio: half the rounding of two added logs
+    steps = np.log((float(n) - js) / (js + 1.0) * (p / (1.0 - p)))
+    m = min(max(int((n + 1) * p), lo), hi) - lo
+    logq = np.zeros(hi - lo + 1)
+    np.cumsum(steps[m:], out=logq[m + 1:])
+    logq[:m] = -np.cumsum(steps[:m][::-1])[::-1]
+    if lo == 0 and hi < n:
+        return np.exp(logq + (n * math.log1p(-p) - logq[0]))
+    q = np.exp(logq)
+    return q / np.add.reduce(q)
+
+
 class ExpectedEntropyDetail(NamedTuple):
     value: float
     truncated_tail_mass: float
 
 
-def expected_subset_entropy_detail(d: int, N: int, M: int, k: int, *,
-                                   truncate: bool = True) -> ExpectedEntropyDetail:
-    """Exact (or mean +/- 12 sigma truncated) binomial expectation of the
-    size-k expected subset entropy, in units of log d."""
+def expected_subset_entropy_detail(d: int, N: int, M: int,
+                                   k: int) -> ExpectedEntropyDetail:
+    """h_k in units of log d, and the binomial mass left out of its sum.
+
+    With n = d^M draws and p = d^-k, the sum runs over B = 0..n when
+    n <= EXACT_SUM_CAP, and over the window mean +/- 12 sigma (cut at 0 and
+    n) otherwise; ``truncated_tail_mass`` is the mass outside that window
+    (0.0 for the full sum).  The binomial law comes from
+    :func:`_binomial_pmf`, and the phi-weighted terms are added pairwise.
+    """
     if not 0 <= k <= N:
         raise ValueError(f"need 0 <= k <= N, got k={k}")
     if not 0 <= M <= N:
@@ -99,35 +128,29 @@ def expected_subset_entropy_detail(d: int, N: int, M: int, k: int, *,
         return ExpectedEntropyDetail(0.0, 0.0)
     n = d**M
     p = float(d) ** (-k)
-    tail = 0.0
+    lo, hi = 0, n
     if n > EXACT_SUM_CAP:
-        if not truncate:
-            raise CapExceededError(
-                f"d^M = {n} exceeds the exact-summation cap {EXACT_SUM_CAP}")
         mean = n * p
         sigma = math.sqrt(n * p * (1.0 - p))
         lo = max(0, int(mean - 12 * sigma))
         hi = min(n, int(mean + 12 * sigma) + 1)
-        js = np.arange(lo, hi + 1)
-        pmf = stats.binom.pmf(js, n, p)
-        tail = max(0.0, 1.0 - float(pmf.sum()))
-    else:
-        js = np.arange(0, n + 1)
-        pmf = stats.binom.pmf(js, n, p)
+    pmf = _binomial_pmf(n, p, lo, hi)
+    tail = 0.0
+    if (lo, hi) != (0, n):
+        tail = max(0.0, 1.0 - float(np.add.reduce(pmf)))
+    js = np.arange(lo, hi + 1, dtype=float)
     if k <= M:
         # first closed form: stable when the binomial mean d^{M-k} is large
-        value = k + float(np.dot(pmf, _phi(js * float(d) ** (k - M), d)))
+        value = k + float(np.add.reduce(pmf * _phi(js * float(d) ** (k - M), d)))
     else:
-        value = M + float(d) ** (k - M) * float(np.dot(pmf, _phi(js.astype(float), d)))
+        value = M + float(d) ** (k - M) * float(np.add.reduce(pmf * _phi(js, d)))
     return ExpectedEntropyDetail(value, tail)
 
 
-def expected_subset_entropy(d: int, N: int, M: int, k: int, *,
-                            truncate: bool = True) -> float:
+def expected_subset_entropy(d: int, N: int, M: int, k: int) -> float:
     """h_k, the expected entropy of a size-k sub-family of the sparse
     random construction, in units of log d."""
-    return expected_subset_entropy_detail(
-        d, N, M, k, truncate=truncate).value
+    return expected_subset_entropy_detail(d, N, M, k).value
 
 
 def entropy_envelope(d: int, M: int, k: int) -> tuple[float, float]:

@@ -149,7 +149,9 @@ def threshold_census(law: SystemLaw, x: float, y: float, epsilon: float,
                      exhaustive: bool = False) -> CensusReport:
     """Sample uniform size-floor(y*N) subsets S (with replacement) and count
     those with H(X_S) > (1-eps)|S| log d and those with
-    H(X | X_S) < eps * x * N log d.  Standard errors are binomial.
+    H(X | X_S) < eps * x * N log d.  Standard errors are binomial.  With
+    ``exhaustive=True`` every size-k subset is counted once instead, within
+    the mask cap of :func:`size_k_masks`.
     """
     if not 0.0 < y < 1.0:
         raise ValueError("y must lie in (0,1)")
@@ -165,8 +167,6 @@ def threshold_census(law: SystemLaw, x: float, y: float, epsilon: float,
     h_full = entropy(law)
     uniform_cut = (1.0 - epsilon) * k * logd
     determine_cut = epsilon * x * N * logd
-    if exhaustive and N > 20:
-        raise CapExceededError("exhaustive census capped at N <= 20")
     masks = size_k_masks(N, k, None if exhaustive else SplitMix64(seed), samples)
     h_s = subset_entropies(law, masks)
     n_uniform = int(np.count_nonzero(h_s > uniform_cut))

@@ -17,7 +17,6 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy.special import entr
 
 from .rng import SplitMix64
 
@@ -25,6 +24,8 @@ MASS_TOL = 1e-9
 # Rounding error of numpy's pairwise sum over a normalized table, with room.
 SUM_ROUNDING = 64 * np.finfo(float).eps
 DEFAULT_SUBSET_CAP = 22
+# Below every positive float: log(max(p, _SMALLEST)) is log p for p > 0.
+_SMALLEST = np.finfo(float).smallest_subnormal
 # Symbols are stored as uint8.
 MAX_D = 256
 
@@ -343,10 +344,19 @@ def _scatter(law: SystemLaw) -> np.ndarray:
 # --- core operations ----------------------------------------------------
 
 
+def _plogp_sum(p: np.ndarray) -> np.float64:
+    """-sum p log p over every entry of an array of masses >= 0, in nats:
+    zero masses add 0, the terms are added pairwise (``np.add.reduce``, so
+    the result does not depend on the BLAS thread count), and the result is
+    never -0.0."""
+    logs = np.log(np.maximum(p, _SMALLEST))
+    logs *= p
+    return -np.add.reduce(logs, axis=None) + 0.0
+
+
 def entropy(law: SystemLaw) -> float:
     """Shannon entropy -sum p log p in nats (0 log 0 := 0)."""
-    p = law.probs
-    return float(-(p * np.log(p)).sum()) + 0.0 if p.size else 0.0
+    return float(_plogp_sum(law.probs))
 
 
 def marginal(law: SystemLaw, mask: int) -> SystemLaw:
@@ -418,7 +428,7 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
         # projected rows of each mask instead
         # serial: no workload runs here, and packed words are the fix
         return np.array([
-            entr(_group_rows(configs[:, mask_to_indices(mask, N)], probs)[1]).sum()
+            _plogp_sum(_group_rows(configs[:, mask_to_indices(mask, N)], probs)[1])
             for mask in masks.tolist()])
     # symbol x_{i+1} sits in bits b*i .. b*i+b-1; a mask's fields set all b
     # bits of each coordinate it holds.  The law keeps its keys, built in
@@ -510,22 +520,21 @@ def _lattice_entropies(law: SystemLaw) -> np.ndarray:
 
     The walk starts at the full mask and only drops coordinates below the
     last one dropped, so every subset is reached exactly once and the
-    recursion holds one marginal per level.
+    recursion holds one marginal per level.  Each marginal's entropy is
+    :func:`_plogp_sum` of it: zero cells add 0, and a point mass gives 0.0.
     """
     N, d = law.N, law.d
     table = _scatter(law)
     out = np.empty(1 << N)
 
-    def walk(marg, mask, axes, below):
-        # ``marg`` has one axis per coordinate in ``axes`` (increasing)
-        out[mask] = entr(marg).sum() + 0.0
-        for pos, i in enumerate(axes):
-            if i >= below:
-                break
-            walk(marg.sum(axis=pos), mask ^ (1 << i),
-                 axes[:pos] + axes[pos + 1:], i)
+    def walk(marg, mask, bits):
+        # ``bits`` (1 << i for the coordinates i still droppable, increasing)
+        # name the leading axes of ``marg``
+        out[mask] = _plogp_sum(marg)
+        for pos, bit in enumerate(bits):
+            walk(np.add.reduce(marg, axis=pos), mask ^ bit, bits[:pos])
 
-    walk(table.reshape((d,) * N), full_mask(N), tuple(range(N)), N)
+    walk(table.reshape((d,) * N), full_mask(N), tuple(1 << i for i in range(N)))
     return out
 
 
@@ -568,8 +577,15 @@ def size_k_masks(N: int, k: int, rng: SplitMix64 | None,
                  count: int) -> list[int]:
     """Every size-k mask of N coordinates, in ``itertools.combinations``
     order, when ``rng`` is None; otherwise ``count`` uniform size-k masks
-    drawn from ``rng``."""
+    drawn from ``rng``.  Enumerating more than 2^DEFAULT_SUBSET_CAP masks,
+    the count :func:`all_subset_entropies` allows, raises
+    :class:`CapExceededError`."""
     if rng is None:
+        total = math.comb(N, k)
+        if total > 1 << DEFAULT_SUBSET_CAP:
+            raise CapExceededError(
+                f"C({N},{k}) = {total} size-{k} masks exceed the exhaustive "
+                f"cap of 2^{DEFAULT_SUBSET_CAP}; sample them instead")
         return [indices_to_mask(c) for c in combinations(range(N), k)]
     return [rng.sample_subset_mask(N, k) for _ in range(count)]
 
@@ -619,7 +635,8 @@ def entropy_profile_sampled(law: SystemLaw, sizes, samples_per_size: int,
 
     Deterministic given ``seed``.  With ``exhaustive=True`` every size-k
     subset is enumerated instead (ignoring ``samples_per_size``), matching
-    :func:`entropy_profile_exact` at the requested sizes.
+    :func:`entropy_profile_exact` at the requested sizes, within the mask
+    cap of :func:`size_k_masks`.
     """
     if not exhaustive and samples_per_size < 2:
         raise ValueError("samples_per_size must be >= 2")

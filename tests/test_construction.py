@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intricacy import (CapExceededError, ConstructionSpec, SplitMix64,
                        SystemLaw, entropy, entropy_profile_exact, est_measure,
                        expected_subset_entropy, entropy_envelope, m_from_target,
                        realized_profile, sample_sparse_system, subset_entropy)
-from intricacy.construction import expected_subset_entropy_detail
+from intricacy.construction import (EXACT_SUM_CAP, _binomial_pmf,
+                                    expected_subset_entropy_detail)
 
 
 # --- sampling ---------------------------------------------------------------
@@ -167,9 +170,71 @@ def test_truncated_tail_mass_is_tiny():
     assert detail.truncated_tail_mass < 1e-12
 
 
-def test_truncation_refusable():
-    with pytest.raises(CapExceededError):
-        expected_subset_entropy(2, 40, 24, 10, truncate=False)
+# --- the binomial law against scipy -------------------------------------------
+
+PMF_NS = (1, 2, 3, 16, 100, 4096, 65537, 10**6)
+PMF_PS = (0.5, 1 / 3, 0.1, 2.0**-10, 1e-4, 1e-7)
+H_GRID = ((2, 22, 16), (2, 16, 8), (2, 12, 6), (3, 10, 4), (3, 12, 6),
+          (2, 20, 6), (5, 8, 5), (7, 6, 4), (2, 2, 1), (2, 3, 3))
+TRUNCATED_GRID = ((2, 40, 24), (2, 30, 21), (2, 60, 30), (3, 30, 15))
+
+
+def scipy_pmf_distance(n, p):
+    from scipy import stats
+    want = stats.binom.pmf(np.arange(n + 1), n, p)
+    return float(np.abs(_binomial_pmf(n, p, 0, n) - want).sum())
+
+
+@pytest.mark.parametrize("n", PMF_NS)
+def test_binomial_pmf_matches_scipy(n):
+    for p in PMF_PS:
+        assert scipy_pmf_distance(n, p) <= 1e-13, (n, p)
+
+
+@given(n=st.integers(1, 10**6), log_p=st.floats(math.log(1e-7), math.log(0.5)))
+@settings(max_examples=40, deadline=None)
+def test_binomial_pmf_matches_scipy_property(n, log_p):
+    assert scipy_pmf_distance(n, math.exp(log_p)) <= 1e-13
+
+
+def scipy_expected_entropy(d, M, k):
+    """h_k and the mass outside its summation window, from scipy's binomial
+    law over the same window, added by math.fsum."""
+    from scipy import stats
+    n, p = d**M, float(d) ** (-k)
+    lo, hi = 0, n
+    if n > EXACT_SUM_CAP:
+        mean, sigma = n * p, math.sqrt(n * p * (1.0 - p))
+        lo = max(0, int(mean - 12 * sigma))
+        hi = min(n, int(mean + 12 * sigma) + 1)
+    js = np.arange(lo, hi + 1, dtype=float)
+    pmf = stats.binom.pmf(js, n, p)
+    outside = stats.binom.sf(hi, n, p) + stats.binom.cdf(lo - 1, n, p)
+    phi = lambda x: -x * np.log(np.where(x > 0, x, 1.0)) / math.log(d)
+    if k <= M:
+        return k + math.fsum(pmf * phi(js * float(d) ** (k - M))), outside
+    return M + float(d) ** (k - M) * math.fsum(pmf * phi(js)), outside
+
+
+@pytest.mark.parametrize("d,N,M", H_GRID + TRUNCATED_GRID)
+def test_expected_entropy_matches_scipy(d, N, M):
+    for k in range(1, N + 1):
+        want, outside = scipy_expected_entropy(d, M, k)
+        got = expected_subset_entropy_detail(d, N, M, k)
+        assert abs(got.value - want) <= 1e-13, (d, N, M, k)
+        if d**M > EXACT_SUM_CAP:
+            assert abs(got.truncated_tail_mass - outside) <= 1e-13, (d, N, M, k)
+        else:
+            assert got.truncated_tail_mass == 0.0
+
+
+def test_truncated_window_from_zero_keeps_its_tail():
+    # Binomial(2^30, 2^-39) has mean 2^-9: the window is {0, 1} and the
+    # mass above it, P(B >= 2) ~ mean^2 / 2, is reported, not normalized away
+    from scipy import stats
+    tail = expected_subset_entropy_detail(2, 60, 30, 39).truncated_tail_mass
+    assert tail == pytest.approx(stats.binom.sf(1, 2**30, 2.0**-39), rel=1e-9)
+    assert tail == pytest.approx(1.90487e-6, rel=1e-5)
 
 
 def test_argument_validation():

@@ -170,8 +170,9 @@ def test_census_validation():
         threshold_census(law, x=0.5, y=0.5, epsilon=0.1, samples=0, seed=0)
     with pytest.raises(ValueError):
         threshold_census(law, x=0.5, y=0.05, epsilon=0.1, samples=10, seed=0)
+    # C(25, 12) = 5,200,300 size-12 masks: above the 2^22 enumeration cap
     with pytest.raises(CapExceededError):
-        threshold_census(diagonal_law(2, 21), x=0.5, y=0.5, epsilon=0.1,
+        threshold_census(diagonal_law(2, 25), x=0.5, y=0.5, epsilon=0.1,
                          samples=1, seed=0, exhaustive=True)
 
 

@@ -666,6 +666,41 @@ def test_sampled_routes_match_oracle_at_n70():
         [entropy(law) - h < 0.2 * 0.1 * 70 * LOG2 for h in hs])
 
 
+@pytest.mark.parametrize("d,N,zeros", [(2, 5, 11), (3, 4, 40), (4, 3, 50)])
+def test_lattice_on_tables_with_zero_cells_matches_oracle(d, N, zeros):
+    gen = np.random.default_rng(d * 100 + N)
+    table = gen.dirichlet(np.ones(d**N))
+    table[gen.choice(d**N, size=zeros, replace=False)] = 0.0
+    law = SystemLaw.dense(d, N, table / table.sum())
+    pmap = naive_pmap(law)
+    want = [naive_subset_entropy(pmap, _keep(m, N)) for m in range(1 << N)]
+    got = laws._lattice_entropies(law)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,N", [(2, 6), (3, 4)])
+def test_lattice_point_mass_is_exactly_zero(d, N):
+    table = np.zeros(d**N)
+    table[d**N // 3] = 1.0
+    H = laws._lattice_entropies(SystemLaw.dense(d, N, table))
+    # every marginal is one 1.0 among zeros; no entropy is -0.0
+    assert np.all(H == 0.0) and not np.any(np.signbit(H))
+
+
+def test_exhaustive_mask_enumeration_is_capped(monkeypatch):
+    monkeypatch.setattr(laws, "DEFAULT_SUBSET_CAP", 4)
+    law = uniform_law(2, 8)
+    # C(8, 1) = 8 masks fit under 2^4; C(8, 4) = 70 do not
+    prof = entropy_profile_sampled(law, [1], 2, seed=0, exhaustive=True)
+    assert prof.values[1] == pytest.approx(1 / 8, abs=1e-12)
+    with pytest.raises(CapExceededError):
+        entropy_profile_sampled(law, [1, 4], 2, seed=0, exhaustive=True)
+    monkeypatch.undo()
+    # C(70, 35) ~ 1.1e20 masks: refused before any is built
+    with pytest.raises(CapExceededError):
+        laws.size_k_masks(70, 35, None, 0)
+
+
 def test_kernel_selection_dense_uses_lattice(monkeypatch):
     law = random_dense_law(np.random.default_rng(0), 2, 8)
     assert _kernel_path(monkeypatch, law) == ["_lattice_entropies"]

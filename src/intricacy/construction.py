@@ -18,7 +18,7 @@ import numpy as np
 
 from .coefficients import CoefficientTable, coefficient_table
 from .laws import (MAX_D, CapExceededError, EntropyProfile, SystemLaw,
-                   _group_rows, entropy_profile_exact)
+                   _group_rows, _support_law, entropy_profile_exact)
 from .profiles import g_functional
 from .rng import SplitMix64
 
@@ -70,7 +70,7 @@ def sample_sparse_system(spec: ConstructionSpec, *,
     rows = SplitMix64(spec.seed).randbelow_array(d, draws * N)
     rows = rows.astype(np.uint8, copy=False).reshape(draws, N)
     configs, counts = _group_rows(rows, np.ones(draws))
-    return SystemLaw.sparse(d, N, configs, counts / draws)
+    return _support_law(d, N, "sparse", configs, counts / draws)
 
 
 def _phi(x: np.ndarray, d: int) -> np.ndarray:

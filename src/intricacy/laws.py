@@ -105,9 +105,7 @@ class SystemLaw:
         table = _normalized(table)
         # nonzero cells in C order: lexicographic, coordinate 1 first
         configs = np.argwhere(table.reshape((d,) * N)).astype(np.uint8)
-        law = SystemLaw(d, N, "dense", configs, table[table > 0])
-        _freeze(law)
-        return law
+        return _support_law(d, N, "dense", configs, table[table > 0])
 
     @staticmethod
     def sparse(d: int, N: int, configs, probs) -> "SystemLaw":
@@ -130,10 +128,7 @@ class SystemLaw:
         rows, weights = _group_rows(configs, probs)
         if weights.size != probs.size:
             raise LawValidationError("sparse support has duplicate configurations")
-        keep = weights > 0.0
-        law = SystemLaw(d, N, "sparse", rows[keep], weights[keep])
-        _freeze(law)
-        return law
+        return _support_law(d, N, "sparse", rows, weights)
 
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Nonzero support as (configurations, weights)."""
@@ -151,14 +146,15 @@ class SystemLaw:
 
     @cached_property
     def _keys(self) -> np.ndarray:
-        """Read-only key of each support row: symbol x_{i+1} in bits
-        b*i .. b*i+b-1, b = bits(d - 1), in uint32 when b*N <= 32 and uint64
-        otherwise.  Only the packed-key sort path reads it, so it is built
-        only for laws whose keys fit 63 bits with the support index."""
+        """Read-only (w, support) array of the support's key words: word i
+        holds coordinates bounds[i] .. bounds[i+1]-1 of
+        :func:`_key_layout`, the symbol of the j-th of them in bits
+        b*j .. b*j+b-1, b = bits(d - 1), in that function's one dtype."""
         b = (self.d - 1).bit_length()
-        kword = np.uint32 if b * self.N <= 32 else np.uint64
-        place = kword(1) << (kword(b) * np.arange(self.N, dtype=kword))
-        keys = self.configs.astype(kword) @ place
+        word, bounds = _key_layout(self.d, self.N, self.support_size)
+        place = word(1) << (word(b) * np.arange(bounds[1], dtype=word))
+        keys = np.stack([self.configs[:, lo:hi].astype(word) @ place[:hi - lo]
+                         for lo, hi in zip(bounds, bounds[1:])])
         keys.setflags(write=False)
         return keys
 
@@ -259,9 +255,15 @@ def _check_sizes(d: int, N: int) -> None:
         raise LawValidationError("system size N must be >= 0")
 
 
-def _freeze(law: SystemLaw) -> None:
+def _support_law(d: int, N: int, kind: str, rows: np.ndarray,
+                 weights: np.ndarray) -> SystemLaw:
+    """The law of ``kind`` on distinct rows in lexicographic order, as
+    :func:`_group_rows` gives them, without the rows of zero weight."""
+    keep = weights > 0.0
+    law = SystemLaw(d, N, kind, rows[keep], weights[keep])
     law.configs.setflags(write=False)
     law.probs.setflags(write=False)
+    return law
 
 
 def _normalized(p: np.ndarray) -> np.ndarray:
@@ -364,8 +366,7 @@ def marginal(law: SystemLaw, mask: int) -> SystemLaw:
     ``mask``; keeps the law's file format (``kind``)."""
     keep = mask_to_indices(mask, law.N)
     configs, probs = _group_rows(law.configs[:, keep], law.probs)
-    new = SystemLaw.sparse(law.d, len(keep), configs, probs)
-    return replace(new, kind=law.kind)
+    return _support_law(law.d, len(keep), law.kind, configs, probs)
 
 
 def subset_entropy(law: SystemLaw, mask: int) -> float:
@@ -390,14 +391,40 @@ def conditional_entropy(law: SystemLaw, mask: int) -> float:
 # --- all-subset enumeration ---------------------------------------------
 
 
-def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
+def _key_layout(d: int, N: int, n: int) -> tuple[type, list[int]]:
+    """Word type and coordinate bounds of the key words of a law with n
+    support points: word i holds coordinates bounds[i] .. bounds[i+1]-1.
+
+    With b = bits(d - 1) and L = bits(n - 1), word 0 holds the first
+    (63 - L)//b coordinates, room for the support index beside them, so a
+    law has one word exactly when width = b*N + L <= 63.  Each later word
+    holds (63 - 2L)//b coordinates, room for a group rank as well.  The
+    words are uint32 when width <= 32, uint64 otherwise."""
+    b, L = (d - 1).bit_length(), (n - 1).bit_length()
+    first, later = (63 - L) // b, (63 - 2 * L) // b
+    if N > first and later < 1:
+        raise CapExceededError(f"a support of {n} points leaves no room for "
+                               f"wide keys at d={d}")
+    bounds = [0, min(N, first)]
+    while bounds[-1] < N:
+        bounds.append(min(N, bounds[-1] + later))
+    return (np.uint32 if b * N + L <= 32 else np.uint64), bounds
+
+
+def _grouped_entropies(K: np.ndarray, probs: np.ndarray, fields=(),
+                       keys=()) -> np.ndarray:
     """Entropy of the weight distribution grouped by equal key, row-wise.
 
-    K is (n_masks, n_support), uint32 or uint64; row j holds the
-    projected-configuration key of each support point under mask j.  The
-    caller guarantees that a key shifted left by bits(n_support - 1) fits in
-    K's word (63 bits at most), so the support index is packed into K's low
-    bits in place and a single sort orders every row.  K is overwritten.
+    K is (n_masks, n_support), uint32 or uint64; row j holds the first key
+    word of each support point under mask j.  The caller guarantees that it
+    fits 63 - L bits, L = bits(n_support - 1), so the support index is
+    packed into K's low L bits in place and a single sort orders every row.
+    K is overwritten.  Each later key word ``keys[i]`` (of the support
+    points, under ``fields[i][j]`` for row j, and fitting 63 - 2L bits) is
+    sorted the same way, with the previous sort's group rank of each point
+    in the L bits between it and the index, so its groups split the
+    previous ones; rows whose mask holds none of its coordinates keep their
+    groups.
     """
     m, n = K.shape
     word = K.dtype.type
@@ -410,6 +437,21 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
     starts = np.empty((m, n), dtype=bool)
     starts[:, 0] = True
     np.not_equal(Ks[:, 1:], Ks[:, :-1], out=starts[:, 1:])
+    for f, k in zip(fields, keys):
+        rows = slice(None) if f.all() else np.flatnonzero(f)
+        # field, group rank and index of each point, in the last sort's order
+        prev = order[rows]
+        Kw = np.bitwise_and(k[prev], f[rows, None])
+        Kw <<= word(2 * shift)
+        rank = np.cumsum(starts[rows], axis=1, dtype=word)
+        rank -= word(1)
+        rank <<= word(shift)
+        Kw |= rank
+        Kw |= prev
+        Kw.sort(axis=1)
+        Ks = Kw >> word(shift)
+        starts[rows, 1:] = Ks[:, 1:] != Ks[:, :-1]
+        order[rows] = np.bitwise_and(Kw, word((1 << shift) - 1), out=Kw)
     firsts = np.flatnonzero(starts)
     sums = np.add.reduceat(probs[order].ravel(), firsts)
     sums *= -np.log(sums)               # group sums are > 0
@@ -419,26 +461,17 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
     """Sort path of :func:`subset_entropies` for an array of masks."""
-    N, d = law.N, law.d
-    configs, probs = law.support()
-    b = (d - 1).bit_length()
-    width = b * N + (probs.size - 1).bit_length()
-    if width > 63:
-        # keys cannot share 63 bits with the support index: group the
-        # projected rows of each mask instead
-        # serial: no workload runs here, and packed words are the fix
-        return np.array([
-            _plogp_sum(_group_rows(configs[:, mask_to_indices(mask, N)], probs)[1])
-            for mask in masks.tolist()])
-    # symbol x_{i+1} sits in bits b*i .. b*i+b-1; a mask's fields set all b
-    # bits of each coordinate it holds.  The law keeps its keys, built in
-    # the narrowest word that holds b*N bits; projected keys are written
-    # into the word of the whole width.
-    pts = law._keys
-    kword = pts.dtype.type
-    word = np.uint32 if width <= 32 else np.uint64
-    coords = np.arange(N, dtype=kword)
-    field = (kword(1) << (kword(b) * coords)) * kword((1 << b) - 1)
+    b = (law.d - 1).bit_length()
+    probs = law.probs
+    keys = law._keys
+    word, bounds = _key_layout(law.d, law.N, probs.size)
+    spans = list(zip(bounds, bounds[1:]))
+    # each word's share of every mask; the fields of a word's coordinates
+    # set all b bits of each coordinate the mask holds
+    parts = [masks] if len(spans) == 1 else [
+        (masks >> lo) & ((1 << (hi - lo)) - 1) for lo, hi in spans]
+    coords = np.arange(bounds[1], dtype=word)
+    field = (word(1) << (word(b) * coords)) * word((1 << b) - 1)
     out = np.empty(masks.size)
     # ~2^20 keys in flight over all workers; every row is computed on its
     # own, so the output does not depend on the chunk size or the workers
@@ -448,10 +481,18 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
     starts = range(0, masks.size, chunk)
 
     def run(start):
-        ms = masks[start:start + chunk].astype(kword)
-        fields = ((ms[:, None] >> coords) & kword(1)) @ field
-        K = np.bitwise_and(fields[:, None], pts, dtype=word)
-        out[start:start + ms.size] = _grouped_entropies(K, probs)
+        fields = []
+        for part, (lo, hi) in zip(parts, spans):
+            ms = part[start:start + chunk].astype(word)
+            fields.append(((ms[:, None] >> coords[:hi - lo]) & word(1))
+                          @ field[:hi - lo])
+        # a word that no mask of the chunk touches would split no group
+        first, *later = [i for i, f in enumerate(fields) if f.any()] or [0]
+        # K is held until the chunk's entropies are stored: freed with the
+        # sort's temporaries, it made a small law fault in fresh pages
+        K = np.bitwise_and(fields[first][:, None], keys[first])
+        out[start:start + ms.size] = _grouped_entropies(
+            K, probs, [fields[i] for i in later], [keys[i] for i in later])
 
     workers = min(cores, len(starts))
     if workers <= 1:
@@ -474,25 +515,25 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     mask S is that integer and-ed with S's fields (all b bits of each
     coordinate in S; for d = 2, S itself).  Like base-d digits these keys
     put coordinate N most significant, so they sort in lexicographic order.
-    The support's keys are built on the law's first call and kept with it,
-    read-only, so later calls and every worker share them.
+    The integer is held as key words (:func:`_key_layout`): one word when
+    width = b*N + bits(support - 1) <= 63, in uint32 up to 32 bits and
+    uint64 beyond, and more uint64 words for larger N.  The support's words
+    are built on the law's first call and kept with it, read-only, so later
+    calls and every worker share them.
     Masks go ``max(1, min(4096, 2**20 // support) // cores)`` at a time,
     where ``cores`` is the number of CPUs in the process's affinity set, and
     the chunks run on a thread pool of up to ``cores`` workers (one chunk
-    runs inline), so ~2^20 keys are in flight in total.  Each row of keys is
-    sorted with the support index packed into its low bits, equal keys are
-    summed, and each row's -p log p terms are added pairwise by
+    runs inline), so ~2^20 keys are in flight in total.  Each row of first
+    words is sorted with the support index packed into its low bits; each
+    further word the mask touches is sorted with the previous sort's group
+    rank between it and the index, so every sort refines the groups of the
+    one before.  Words that no mask of a chunk touches are skipped.  Equal
+    keys are summed, and each row's -p log p terms are added pairwise by
     ``np.add.reduceat`` (about 1e-15 nats at a support of 65k points; a
     sequential sum misses by ~1e-11).  Every row is computed on its own, so
     the output is bit-identical at any chunk size and worker count.
-
-    One budget, width = b*N + bits(support - 1), decides once per law:
-    uint32 keys when width <= 32, uint64 up to 63, and beyond that the
-    projected rows of each mask are grouped symbol by symbol
-    (``_group_rows``), so the sampled routes work for any N.  For d not a
-    power of two that grouping starts at a smaller N than N*log2(d) would
-    give (d = 3 at support 2^16: N >= 24).  Every law takes this path,
-    whatever its file format.  The empty mask has entropy exactly 0.
+    Every law takes this path, whatever its file format or N.  The empty
+    mask has entropy exactly 0.
     Raises ``TypeError`` for a mask that is not an integer and
     ``IndexError`` for a mask outside 0..2^N - 1.
     """
@@ -510,7 +551,9 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
 
 def _sorted_entropies(law: SystemLaw) -> np.ndarray:
     """Sort path of :func:`all_subset_entropies`."""
-    return _keyed_entropies(law, np.arange(1 << law.N))
+    out = _keyed_entropies(law, np.arange(1 << law.N))
+    out[0] = 0.0                        # the empty set, not -0.0 or -1e-16
+    return out
 
 
 def _lattice_entropies(law: SystemLaw) -> np.ndarray:
@@ -535,6 +578,7 @@ def _lattice_entropies(law: SystemLaw) -> np.ndarray:
             walk(np.add.reduce(marg, axis=pos), mask ^ bit, bits[:pos])
 
     walk(table.reshape((d,) * N), full_mask(N), tuple(1 << i for i in range(N)))
+    out[0] = 0.0                        # not -s log s of the total s
     return out
 
 
@@ -550,15 +594,16 @@ def all_subset_entropies(law: SystemLaw, *,
       into its d^N table);
     - the *sort* path (the one :func:`subset_entropies` uses) groups the
       support by its projected configuration, mask by mask: about
-      2^N * support * log(support) work, with chunks of masks run on every
-      CPU in the process's affinity set and ~2^20 keys in memory at a time
-      over all of them; the output is bit-identical at any worker count.
+      2^N * support * log(support) work per key word, with chunks of masks
+      run on every CPU in the process's affinity set and ~2^20 keys in
+      memory at a time over all of them; the output is bit-identical at any
+      worker count.
 
     The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
     high-support laws; the sort path otherwise, e.g. for the sparse
-    constructions with support d^M << d^N.  Raises
-    :class:`CapExceededError` above the cap; use
-    :func:`entropy_profile_sampled` for larger systems.
+    constructions with support d^M << d^N.  On both paths the empty set
+    has entropy exactly 0.  Raises :class:`CapExceededError` above the cap;
+    use :func:`entropy_profile_sampled` for larger systems.
     """
     N, d = law.N, law.d
     if N > cap:

@@ -17,8 +17,9 @@ from intricacy import (CapExceededError, LawValidationError, SystemLaw,
                        entropy_profile_sampled, full_mask, marginal,
                        mutual_information, point_mass, product_law,
                        subset_entropy, uniform_law)
-from conftest import (naive_entropy, naive_mutual_information, naive_pmap,
-                      naive_profile, naive_subset_entropy, random_dense_law)
+from conftest import (naive_entropy, naive_marginal, naive_mutual_information,
+                      naive_pmap, naive_profile, naive_subset_entropy,
+                      random_dense_law)
 
 LOG2 = math.log(2)
 
@@ -402,19 +403,24 @@ def test_subset_entropies_match_oracle(d, N, sparse, seed, count):
     assert np.all(got[masks == 0] == 0.0)
 
 
-@pytest.mark.parametrize("d,N", [pytest.param(2, 40, id="40"),
-                                 pytest.param(2, 60, id="60"),
-                                 pytest.param(2, 70, id="70"),
-                                 pytest.param(3, 26, id="d3-26"),
-                                 pytest.param(3, 30, id="d3-30"),
-                                 pytest.param(3, 41, id="d3-41"),
-                                 pytest.param(256, 7, id="d256-7")])
-def test_subset_entropies_wide_keys(d, N):
-    # Keys take bits(d-1)*N bits and the support index (at most 24 rows)
-    # 5 more.  N=40 (width 45), d=3 at N=26 (57) and d=256 at N=7 (61) pack
-    # both into uint64; N=60 and beyond, and d=3 at N=30 (65) and N=41, do
-    # not fit in 63 bits, so each mask's projected rows are grouped symbol
-    # by symbol instead
+@pytest.mark.parametrize("d,N,words", [pytest.param(2, 40, 1, id="40"),
+                                       pytest.param(2, 60, 2, id="60"),
+                                       pytest.param(2, 70, 2, id="70"),
+                                       pytest.param(3, 26, 1, id="d3-26"),
+                                       pytest.param(3, 30, 2, id="d3-30"),
+                                       pytest.param(3, 41, 2, id="d3-41"),
+                                       pytest.param(256, 7, 1, id="d256-7"),
+                                       pytest.param(256, 10, 2, id="d256-10"),
+                                       pytest.param(256, 16, 3, id="d256-16"),
+                                       pytest.param(7, 60, 4, id="d7-60"),
+                                       pytest.param(2, 200, 4, id="200"),
+                                       pytest.param(2, 250, 5, id="250")])
+def test_subset_entropies_wide_keys(d, N, words):
+    # Keys take bits(d-1)*N bits and the support index (17 to 24 rows) 5
+    # more.  Word 0 holds (63-5)//b coordinates and every later word
+    # (63-10)//b: N=40 (width 45), d=3 at N=26 (57) and d=256 at N=7 (61)
+    # fit one word; N=60 takes 2 words, N=200 4 and N=250 5, d=256 at N=16
+    # (7 + 6 + 6 coordinates) 3 and d=7 at N=60 (19 + 17 + 17 + 17) 4
     gen = np.random.default_rng(N)
     configs = gen.integers(0, d, size=(24, N), dtype=np.uint8)
     configs[:8, : N // 2] = 0           # shared halves make real groups
@@ -423,10 +429,16 @@ def test_subset_entropies_wide_keys(d, N):
     # Python ints, so the masks of N=70 may use bits 63..69
     masks = [int(gen.integers(0, 2**62)) & full_mask(N) for _ in range(10)]
     masks += [full_mask(N), 1 << (N - 1), (1 << (N - 1)) | 0b1011, 0]
+    masks += [laws.indices_to_mask(gen.choice(N, k, replace=False).tolist())
+              for k in (1, 2, 4, N // 2, N - 1)]
+    masks += [int.from_bytes(gen.bytes(N // 8 + 1), "little") & full_mask(N)]
     pmap = naive_pmap(law)
     want = [naive_subset_entropy(pmap, _keep(m, N)) for m in masks]
-    assert np.allclose(laws.subset_entropies(law, masks), want,
-                       rtol=0.0, atol=1e-12)
+    got = laws.subset_entropies(law, masks)
+    assert law._keys.shape == (words, law.support_size)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    # alone, a mask skips the words it does not touch: the same bits
+    assert np.array_equal([subset_entropy(law, m) for m in masks], got)
 
 
 def test_subset_entropies_large_support_matches_fsum():
@@ -579,15 +591,102 @@ def test_support_keys_are_built_once_per_law(monkeypatch):
                                   abs=1e-12)
 
 
-def test_wide_keys_are_never_built(monkeypatch):
-    # width 70 + 5 > 63: the per-mask grouping branch needs no keys
+def test_wide_keys_are_built_once_per_law(monkeypatch):
+    # width 70 + 5 > 63: two key words, built on the first call and shared
+    # by the sampled routes after it
     gen = np.random.default_rng(7)
     configs = np.unique(gen.integers(0, 2, size=(20, 70), dtype=np.uint8), axis=0)
     law = SystemLaw.sparse(2, 70, configs, gen.dirichlet(np.ones(len(configs))))
     builds = _counting_keys(monkeypatch)
-    laws.subset_entropies(law, [1, 1 << 69, full_mask(70)])
-    assert builds == []
-    assert "_keys" not in vars(law)
+    masks = [1, 1 << 69, full_mask(70)]
+    first = laws.subset_entropies(law, masks)
+    keys = law._keys
+    entropy_profile_sampled(law, [1, 35, 70], 4, seed=1)
+    it.threshold_census(law, x=0.1, y=0.5, epsilon=0.2, samples=10, seed=2)
+    assert builds == [law]
+    assert law._keys is keys
+    assert keys.shape == (2, law.support_size) and keys.dtype == np.uint64
+    with pytest.raises(ValueError):
+        keys[1, 0] = 1                  # shared read-only by every call
+    assert not keys.flags.writeable
+    pmap = naive_pmap(law)
+    for m, h in zip(masks, first):
+        assert h == pytest.approx(naive_subset_entropy(pmap, _keep(m, 70)),
+                                  abs=1e-12)
+
+
+def test_sort_path_never_groups_rows(monkeypatch):
+    # one sort path for every width: an N=70 law (two key words) and, on
+    # the exhaustive route, a d=256, N=8 law of 300 points (width 73)
+    gen = np.random.default_rng(71)
+    configs = np.unique(gen.integers(0, 2, size=(40, 70), dtype=np.uint8), axis=0)
+    configs[:20, :50] = 0               # shared prefixes make real groups
+    configs = np.unique(configs, axis=0)
+    law = SystemLaw.sparse(2, 70, configs, gen.dirichlet(np.ones(len(configs))))
+    configs = np.unique(gen.integers(0, 256, size=(300, 8), dtype=np.uint8), axis=0)
+    wide = SystemLaw.sparse(256, 8, configs, gen.dirichlet(np.ones(len(configs))))
+
+    def refuse(*_):
+        raise AssertionError("_group_rows called")
+
+    monkeypatch.setattr(laws, "_group_rows", refuse)
+    stream = it.SplitMix64(9)
+    masks = [stream.sample_subset_mask(70, k) for k in (1, 5, 35, 52, 69, 70)]
+    pmap = naive_pmap(law)
+    want = [naive_subset_entropy(pmap, _keep(m, 70)) for m in masks]
+    assert np.allclose(laws.subset_entropies(law, masks), want,
+                       rtol=0.0, atol=1e-12)
+    prof = entropy_profile_sampled(law, [2, 60], 3, seed=5)
+    stream = it.SplitMix64(5)
+    for k in (2, 60):
+        hs = [naive_subset_entropy(pmap, _keep(stream.sample_subset_mask(70, k), 70))
+              for _ in range(3)]
+        assert prof.values[k] == pytest.approx(np.mean(hs) / (70 * LOG2),
+                                               abs=1e-12)
+    assert wide._keys.shape[0] == 2
+    pmap = naive_pmap(wide)
+    want = [naive_subset_entropy(pmap, _keep(m, 8)) for m in range(256)]
+    assert np.allclose(all_subset_entropies(wide), want, rtol=0.0, atol=1e-12)
+
+
+def test_wide_subset_entropies_do_not_depend_on_workers(monkeypatch):
+    # (2,70,16): 65,536 support points in two key words, so 16 masks a
+    # chunk on one core, 8 on two and 2 on eight; 40 masks span 3, 5 and
+    # 20 chunks, some touching one word only
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 70, 16, 3))
+    assert law._keys.shape == (2, 1 << 16)
+    stream = it.SplitMix64(70)
+    masks = [stream.sample_subset_mask(70, k)
+             for k in (1, 3, 12, 35, 60, 69, 70) for _ in range(5)]
+    masks += [0, 1, 1 << 69, (1 << 46) | (1 << 47), full_mask(70)]
+    runs = []
+    for cores, pools in ((1, []), (2, [2]), (8, [8])):
+        started = _pool_widths(monkeypatch, cores)
+        runs.append(laws.subset_entropies(law, masks))
+        assert started == pools
+    assert np.array_equal(runs[0], runs[1])
+    assert np.array_equal(runs[0], runs[2])
+    # 65k groups: the oracle sums its -p log p terms exactly
+    pmap = naive_pmap(law)
+    for i in (0, 17, 39):
+        marg = naive_marginal(pmap, _keep(masks[i], 70)).values()
+        want = math.fsum(-p * math.log(p) for p in marg)
+        assert abs(runs[1][i] - want) <= 1e-12, (masks[i], runs[1][i], want)
+
+
+def test_empty_set_entropy_is_exactly_zero(monkeypatch):
+    # the Dirichlet table's masses sum to 1 - 2.2e-16, and the sort path
+    # groups the (3,10,5,2) support into one group of mass 1 + 2.2e-16
+    dense = random_dense_law(np.random.default_rng(100), 2, 8)
+    sparse = it.sample_sparse_system(it.ConstructionSpec(3, 10, 5, 2))
+    for law, path in ((dense, "_lattice_entropies"),
+                      (sparse, "_sorted_entropies")):
+        assert _kernel_path(monkeypatch, law) == [path]
+        monkeypatch.undo()
+        H = all_subset_entropies(law)
+        assert H[0] == 0.0 and not np.signbit(H[0])
+        h0 = entropy_profile_exact(law).values[0]
+        assert h0 == 0.0 and not np.signbit(h0)
 
 
 @pytest.mark.parametrize("d,N", [(2, 9), (3, 6)])

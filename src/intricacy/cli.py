@@ -26,6 +26,7 @@ from .profiles import deficit_report
 
 EXIT_VALIDATION = 2
 EXIT_CAP = 3
+SAMPLES_PER_SIZE = 200
 
 
 def _out_stream(args):
@@ -56,7 +57,8 @@ def cmd_profile(args) -> int:
     law = _load_law(args.law)
     if args.sampled:
         sizes = range(law.N + 1)
-        prof = entropy_profile_sampled(law, sizes, args.samples, args.seed)
+        samples = SAMPLES_PER_SIZE if args.samples is None else args.samples
+        prof = entropy_profile_sampled(law, sizes, samples, args.seed)
     else:
         prof = entropy_profile_exact(law, cap=args.cap_subsets)
     with _out_stream(args) as out:
@@ -169,10 +171,12 @@ def cmd_census(args) -> int:
 def cmd_maximize(args) -> int:
     measure = parse_family(args.family)
     table = coefficient_table(measure, args.N)
+    # without --penalty, the search's own default weight
+    penalty = {} if args.penalty is None else {"penalty_weight": args.penalty}
     result = experiments.maximizer_search(
         args.d, args.N, table, restarts=args.restarts,
         iterations=args.iterations, seed=args.seed,
-        entropy_target=args.x, penalty_weight=args.penalty)
+        entropy_target=args.x, **penalty)
     with _out_stream(args) as out:
         json.dump({"family": args.family, "d": args.d, "N": args.N,
                    "intricacy_nats": result.intricacy,
@@ -237,8 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="entropy profile of a law file")
     p.add_argument("law")
     p.add_argument("--sampled", action="store_true")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--samples", type=int,
+                   help=f"with --sampled: masks per subset size "
+                        f"(default {SAMPLES_PER_SIZE})")
+    p.add_argument("--seed", type=int, help="with --sampled: the mask stream's seed")
     output(p)
     p.add_argument("--cap-subsets", type=_cap, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_profile)
@@ -291,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=200)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--x", type=float, help="optional entropy target")
-    p.add_argument("--penalty", type=float, default=20.0)
+    p.add_argument("--penalty", type=float,
+                   help="with --x: the target penalty's weight (default 20)")
     output(p, fmt=False)
     p.set_defaults(func=cmd_maximize)
 
@@ -301,8 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "profile" and args.sampled and args.seed is None:
-        parser.error("--seed is required with --sampled")
+    if args.command == "profile":
+        if args.sampled and args.seed is None:
+            parser.error("--seed is required with --sampled")
+        if not args.sampled and (args.seed, args.samples) != (None, None):
+            parser.error("--seed and --samples are read only with --sampled")
+    if args.command == "maximize" and args.penalty is not None and args.x is None:
+        parser.error("--penalty is read only with --x")
     try:
         return args.func(args)
     except CapExceededError as exc:

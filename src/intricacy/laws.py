@@ -77,7 +77,9 @@ class SystemLaw:
     ``configs`` (distinct rows in lexicographic order, coordinate 1 first)
     and their weights ``probs``.  The sort-path keys of the support (see
     :func:`subset_entropies`) are built on first use and kept with the law,
-    read-only, so every later kernel call and worker shares them.
+    read-only, so every later kernel call and worker shares them.  Its 2^N
+    subset entropies (:func:`all_subset_entropies`) are kept the same way,
+    so every exact route shares one kernel run.
 
     ``kind`` only names the law-file format :meth:`to_json` writes: "dense"
     (the flat table of d^N probabilities in mixed-radix order) or "sparse"
@@ -157,6 +159,21 @@ class SystemLaw:
                          for lo, hi in zip(bounds, bounds[1:])])
         keys.setflags(write=False)
         return keys
+
+    @cached_property
+    def _entropies(self) -> np.ndarray:
+        """Read-only H(X_S) for every mask S, indexed by mask: the lattice
+        path when (d+1)^N <= 2^N * support, the sort path otherwise (see
+        :func:`all_subset_entropies`).  Built on first use and held for the
+        law's lifetime (2^N floats: 32 KB at N=12, 32 MB at N=22).  A law
+        and its arrays are frozen, and ``replace``, :func:`marginal` and the
+        transforms build new laws, so the array cannot go stale."""
+        if (self.d + 1) ** self.N <= (1 << self.N) * self.support_size:
+            H = _lattice_entropies(self)
+        else:
+            H = _sorted_entropies(self)
+        H.setflags(write=False)
+        return H
 
     # --- serialization (file contract) ---------------------------------
 
@@ -602,17 +619,21 @@ def all_subset_entropies(law: SystemLaw, *,
     The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
     high-support laws; the sort path otherwise, e.g. for the sparse
     constructions with support d^M << d^N.  On both paths the empty set
-    has entropy exactly 0.  Raises :class:`CapExceededError` above the cap;
-    use :func:`entropy_profile_sampled` for larger systems.
+    has entropy exactly 0.  Raises :class:`CapExceededError` above the cap
+    (checked on every call); use :func:`entropy_profile_sampled` for larger
+    systems.
+
+    The kernel runs once per law: its output is cached on the law
+    (``SystemLaw._entropies``), and every call, and so every exact route
+    (:func:`entropy_profile_exact`, ``intricacy_defn``, ``deficit_report``),
+    returns that same read-only array, not a copy.  The law holds it for
+    its lifetime: 2^N floats, 32 KB at N=12, 8 MB at N=20, 32 MB at N=22.
     """
-    N, d = law.N, law.d
-    if N > cap:
+    if law.N > cap:
         raise CapExceededError(
-            f"N={N} exceeds the exhaustive subset cap {cap}; "
+            f"N={law.N} exceeds the exhaustive subset cap {cap}; "
             "use entropy_profile_sampled for larger systems")
-    if (d + 1) ** N <= (1 << N) * law.support_size:
-        return _lattice_entropies(law)
-    return _sorted_entropies(law)
+    return law._entropies
 
 
 # --- entropy profiles ----------------------------------------------------

@@ -114,8 +114,11 @@ def deficit_report(law: SystemLaw, table: CoefficientTable, *,
                    profile: EntropyProfile | None = None) -> DeficitReport:
     """Evaluate the deficit identity for one law and one coefficient table.
 
-    ``profile`` may be supplied to reuse an already-computed exact profile
-    (the single subset enumeration then serves every family).
+    The subset entropies are computed once per law and cached on it (see
+    :func:`all_subset_entropies`), so calls for several families share one
+    kernel run with or without ``profile``.  ``profile``, an exact profile
+    of ``law`` already computed, is only a shortcut: it skips averaging the
+    cached entropies by subset size again.
     """
     if profile is None:
         profile = entropy_profile_exact(law, cap=cap)

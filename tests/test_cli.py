@@ -121,9 +121,11 @@ HUGE_DENSE_N = {"d": 2, "N": 20000, "dense": [1.0]}
     pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
                         "--x", "nan"], id="maximize-nan-target"),
     pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
-                        "--penalty", "-5"], id="maximize-negative-penalty"),
+                        "--x", "0.5", "--penalty", "-5"],
+                 id="maximize-negative-penalty"),
     pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
-                        "--penalty", "inf"], id="maximize-infinite-penalty"),
+                        "--x", "0.5", "--penalty", "inf"],
+                 id="maximize-infinite-penalty"),
     pytest.param(None, ["construct", "--d", "2", "--N", "4", "--M", "2",
                         "--seed", "1", "--cap-support", "-1"],
                  id="construct-negative-cap-support"),
@@ -168,6 +170,36 @@ def test_unread_flags_are_gone(capsys, diagonal_file, argv):
     code, err = exit_code(capsys, argv)
     assert code == 2
     assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["profile", "LAW", "--seed", "3"], "--seed"),
+    (["profile", "LAW", "--samples", "50"], "--samples"),
+    (["maximize", "--d", "2", "--N", "2", "--seed", "0", "--penalty", "5"],
+     "--penalty"),
+], ids=["profile-seed", "profile-samples", "maximize-penalty"])
+def test_flags_without_the_flag_they_qualify_exit_2(capsys, diagonal_file,
+                                                      argv, flag):
+    # accepted and ignored, each would change nothing the command writes
+    argv = [diagonal_file if a == "LAW" else a for a in argv]
+    code, err = exit_code(capsys, argv)
+    assert code == 2
+    (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+    assert flag in line
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,default", [
+    (["profile", "LAW", "--sampled", "--seed", "3"], ["--samples", "200"]),
+    (["maximize", "--d", "2", "--N", "2", "--seed", "0", "--restarts", "1",
+      "--iterations", "5", "--x", "0.3"], ["--penalty", "20"]),
+], ids=["profile-samples", "maximize-penalty"])
+def test_qualified_flags_default_where_they_apply(capsys, diagonal_file,
+                                                  argv, default):
+    argv = [diagonal_file if a == "LAW" else a for a in argv]
+    runs = [run(capsys, *argv), run(capsys, *argv, *default)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1]
 
 
 def test_entropy_missing_file_exits_2(capsys):

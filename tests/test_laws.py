@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -377,10 +378,13 @@ def test_kernel_paths_match_oracle(d, N, sparse, seed):
 
 
 def _kernel_path(monkeypatch, law):
+    """The kernel :func:`all_subset_entropies` picks for ``law``.  The stubs
+    run on a copy, so their output is not cached on ``law`` itself."""
     chosen = []
     for name in ("_lattice_entropies", "_sorted_entropies"):
-        monkeypatch.setattr(laws, name, lambda law, name=name: chosen.append(name))
-    all_subset_entropies(law)
+        monkeypatch.setattr(laws, name, lambda law, name=name: (
+            chosen.append(name) or np.zeros(1 << law.N)))
+    all_subset_entropies(replace(law))
     return chosen
 
 
@@ -496,13 +500,16 @@ def test_all_subset_entropies_do_not_depend_on_workers(monkeypatch, spec):
     law = it.sample_sparse_system(it.ConstructionSpec(*spec))
     assert _kernel_path(monkeypatch, law) == ["_sorted_entropies"]
     monkeypatch.undo()
-    assert _pool_widths(monkeypatch, 1) == []
-    one = all_subset_entropies(law)
-    keys = law._keys
+    # a fresh law per worker count: a law runs the kernel once
+    pools = _pool_widths(monkeypatch, 1)
+    one = all_subset_entropies(replace(law))
+    assert pools == []
+    fresh = replace(law)
+    keys = fresh._keys
     pools = _pool_widths(monkeypatch, 2)
-    two = all_subset_entropies(law)
+    two = all_subset_entropies(fresh)
     assert pools == [2]
-    assert law._keys is keys            # the pool shares the law's keys
+    assert fresh._keys is keys          # the pool shares the law's keys
     assert np.array_equal(one, two)
 
 
@@ -712,6 +719,86 @@ def test_transforms_of_a_keyed_law_match_oracle(d, N):
                 for m in range(1 << new.N)]
         assert np.allclose(laws._sorted_entropies(new), want,
                            rtol=0.0, atol=1e-12)
+
+
+def _cached_laws():
+    """A dense law (lattice path) and a construction (sort path)."""
+    return ((random_dense_law(np.random.default_rng(8), 3, 5), "_lattice_entropies"),
+            (it.sample_sparse_system(it.ConstructionSpec(2, 12, 6, 1)),
+             "_sorted_entropies"))
+
+
+def test_exact_routes_share_one_kernel_run(monkeypatch):
+    runs = []
+    for name in ("_lattice_entropies", "_sorted_entropies"):
+        kernel = getattr(laws, name)
+        monkeypatch.setattr(laws, name, lambda law, kernel=kernel, name=name: (
+            runs.append(name) or kernel(law)))
+    for law, path in _cached_laws():
+        runs.clear()
+        profile = entropy_profile_exact(law)
+        for family in ("est", "uniform", "p-sym:0.3"):
+            table = it.coefficient_table(it.parse_family(family), law.N)
+            defn = it.intricacy_defn(law, table)
+            rep = it.deficit_report(law, table, family=family)
+            route = it.intricacy_from_profile(profile, table, law.d)
+            assert defn == pytest.approx(route, rel=1e-12, abs=1e-12)
+            assert rep.normalized_intricacy == it.g_functional(profile, table)
+        H = all_subset_entropies(law)
+        assert runs == [path]
+        pmap = naive_pmap(law)
+        want = [naive_subset_entropy(pmap, _keep(m, law.N))
+                for m in range(1 << law.N)]
+        assert np.allclose(H, want, rtol=0.0, atol=1e-12)
+        assert np.allclose(profile.values, naive_profile(pmap, law.N, law.d),
+                           rtol=0.0, atol=1e-12)
+
+
+def test_all_subset_entropies_are_one_read_only_array():
+    for law, _ in _cached_laws():
+        H = all_subset_entropies(law)
+        assert all_subset_entropies(law) is H
+        assert all_subset_entropies(law, cap=law.N) is H
+        assert not H.flags.writeable
+        with pytest.raises(ValueError):
+            H[1] = 0.0
+        assert H[0] == 0.0 and not np.signbit(H[0])
+
+
+def test_cap_is_checked_after_the_kernel_ran():
+    for law, _ in _cached_laws():
+        all_subset_entropies(law)
+        assert "_entropies" in vars(law)
+        cap = law.N - 1
+        with pytest.raises(CapExceededError):
+            all_subset_entropies(law, cap=cap)
+        with pytest.raises(CapExceededError):
+            entropy_profile_exact(law, cap=cap)
+        table = it.coefficient_table(it.est_measure(), law.N)
+        with pytest.raises(CapExceededError):
+            it.intricacy_defn(law, table, cap=cap)
+        with pytest.raises(CapExceededError):
+            it.deficit_report(law, table, cap=cap)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_transforms_of_a_cached_law_start_uncached(sparse):
+    gen = np.random.default_rng(31)
+    law = _random_law(gen, 3, 5, sparse)
+    H = all_subset_entropies(law)
+    derived = [replace(law),
+               laws.permute_coordinates(law, gen.permutation(5)),
+               laws.relabel_symbols(law, [gen.permutation(3) for _ in range(5)]),
+               marginal(law, 0b10110)]
+    for new in derived:
+        assert "_entropies" not in vars(new)
+        got = all_subset_entropies(new)
+        assert got is not H
+        pmap = naive_pmap(new)
+        want = [naive_subset_entropy(pmap, _keep(m, new.N))
+                for m in range(1 << new.N)]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert all_subset_entropies(law) is H
 
 
 def test_sampled_routes_do_not_build_marginals(monkeypatch):

@@ -38,7 +38,7 @@ def _out_stream(args):
 
 def _load_law(path: str) -> SystemLaw:
     with open(path) as fh:
-        return SystemLaw.from_json_dict(json.load(fh))
+        return SystemLaw.from_json(fh.read())
 
 
 def _families(spec: str):

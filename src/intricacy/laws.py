@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -28,6 +29,11 @@ DEFAULT_SUBSET_CAP = 22
 _SMALLEST = np.finfo(float).smallest_subnormal
 # Symbols are stored as uint8.
 MAX_D = 256
+# Sparse law files are read about this many characters at a time.
+_READ_BLOCK = 1 << 16
+# The longest repr of a float, '-2.2250738585072014e-308'.
+_MASS_WIDTH = 24
+_SUPPORT_HEAD = re.compile(r'\{"d": (\d{1,3}), "N": (\d{1,9}), "support": \[')
 
 
 class LawValidationError(ValueError):
@@ -196,15 +202,18 @@ class SystemLaw:
 
     @staticmethod
     def from_json_dict(obj: dict) -> "SystemLaw":
-        """Law from a parsed law file; raises :class:`LawValidationError`
-        for any malformed input."""
+        """Law from a parsed law file (``json.loads`` of its text); raises
+        :class:`LawValidationError` for any malformed input.  Symbols,
+        masses and dense cells must be JSON numbers: a string, boolean or
+        null, which numpy would read as a number, is rejected."""
         try:
             d, N = _integer(obj["d"], "d"), _integer(obj["N"], "N")
             if "dense" in obj:
-                return SystemLaw.dense(d, N, obj["dense"])
+                return SystemLaw.dense(d, N, _numbers(obj["dense"], "dense cells"))
             entries = obj["support"]
-            configs = [e["config"] for e in entries]
-            probs = [e["p"] for e in entries]
+            configs = _numbers([e["config"] for e in entries],
+                               "configuration symbols")
+            probs = _numbers([e["p"] for e in entries], "probability masses")
         except (KeyError, TypeError) as exc:
             raise LawValidationError("malformed law JSON: needs d, N and a "
                                      f"'dense' or 'support' field ({exc!r})") from None
@@ -213,7 +222,124 @@ class SystemLaw:
 
     @staticmethod
     def from_json(text: str) -> "SystemLaw":
-        return SystemLaw.from_json_dict(json.loads(text))
+        """Law from a law file's text; raises :class:`LawValidationError`
+        for any malformed law, and ``json.JSONDecodeError`` for text that
+        is not JSON.
+
+        A sparse file in the layout :meth:`to_json` writes (optionally
+        followed by one newline) is read by :func:`_read_support` without
+        ``json``, about 64 KB of text at a time.  Every other text, and a
+        file in which any block would not be written back byte for byte,
+        goes through ``json.loads`` and :meth:`from_json_dict`.  Both routes
+        end in :meth:`sparse` (or :meth:`dense`), so they give the same law,
+        or the same error, for every text."""
+        support = _read_support(text)
+        if support is None:
+            return SystemLaw.from_json_dict(json.loads(text))
+        return SystemLaw.sparse(*support)
+
+
+def _numbers(values, what: str):
+    """``values`` as given, when every value in it is a JSON number; else
+    :class:`LawValidationError`.  Nested lists are looked into."""
+    bad = set(map(type, np.asarray(values, dtype=object).ravel())) - {int, float}
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise LawValidationError(f"{what} must be numbers, got {names}")
+    return values
+
+
+def _read_support(text: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
+    """``(d, N, configs, probs)`` of a sparse law file in the exact layout
+    :meth:`SystemLaw.to_json` writes, optionally followed by one newline,
+    or None for any other text.
+
+    The support list is cut into blocks of about ``_READ_BLOCK``
+    characters, each ending at an entry's ``}, {``, and each block is parsed
+    by :func:`_parse_entries`.  A block is kept only if
+    :func:`_support_text` writes its symbols and masses back to exactly its
+    bytes, so every value read is the one ``json`` would read; any other
+    block gives None.  No Python object is built per entry, and the text is
+    never copied whole: the rows go straight into arrays sized by the count
+    of entry boundaries.  The law itself is checked by the caller."""
+    if not (isinstance(text, str) and text.isascii()):
+        return None
+    head = _SUPPORT_HEAD.match(text)
+    if head is None:
+        return None
+    d, N = int(head[1]), int(head[2])
+    stop = len(text) - (text.endswith("\n") + 2)
+    n = text.count("}, {") + 1
+    if (head[0] != f'{{"d": {d}, "N": {N}, "support": ['
+            or not text.startswith("]}", stop) or not 2 <= d <= MAX_D
+            or head.end() >= stop or n * N > len(text)):
+        return None
+    configs = np.empty((n, N), dtype=np.uint8)
+    probs = np.empty(n)
+    row, start = 0, head.end()
+    while start < stop:
+        cut = text.find("}, {", min(start + _READ_BLOCK, stop), stop)
+        end = stop if cut < 0 else cut + 1
+        block = text[start:end].encode("ascii")
+        entries = _parse_entries(block, d, N)
+        if entries is None:
+            return None
+        rows, masses = entries
+        k = masses.size
+        if row + k > n or b"".join(_support_text(d, rows, masses)) != block:
+            return None
+        configs[row:row + k] = rows
+        probs[row:row + k] = masses
+        row += k
+        start = end + len(", ")
+    return (d, N, configs, probs) if row == n else None
+
+
+def _parse_entries(block: bytes, d: int, N: int
+                   ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Symbols (uint8, one row per entry) and masses of a run of sparse
+    law-file entries, read where :func:`_support_text` puts them, or None
+    where the block cannot be such a run.  The caller checks that the
+    values write back to ``block``.
+
+    A mass is the text between ``], "p": `` and ``}``, taken as a
+    zero-padded field of fixed width; each distinct field goes through
+    ``float`` once.  A symbol is a run of 1 to 3 digits (d <= 256) ending
+    before a ``,`` or ``]``."""
+    # zero bytes before the block, and room after it for the widest field
+    b = np.zeros(len(block) + _MASS_WIDTH + 4, dtype=np.uint8)
+    b[3:len(block) + 3] = np.frombuffer(block, np.uint8)
+    closes = np.flatnonzero(b == ord("]"))
+    ends = np.flatnonzero(b == ord("}"))
+    k = ends.size
+    if not 0 < k == closes.size:
+        return None
+    first = closes + len('], "p": ')
+    width = ends - first
+    if width.min() < 1 or width.max() > _MASS_WIDTH:
+        return None
+    cols = np.arange(width.max())
+    fields = b[first[:, None] + cols]
+    fields[cols >= width[:, None]] = 0
+    texts, which = np.unique(fields.view(f"S{cols.size}").ravel(),
+                             return_inverse=True)
+    try:
+        values = np.array([float(t) for t in texts.tolist()])
+    except ValueError:
+        return None
+    # a symbol is the 1 to 3 digits before a "," or "]"; no mass has either
+    digit = (b - np.uint8(ord("0"))) <= 9
+    last = np.flatnonzero(digit[:-1] & ((b[1:] == ord(",")) | (b[1:] == ord("]"))))
+    if last.size != k * N:
+        return None
+    symbols = np.zeros(last.size, dtype=np.int16)
+    run = np.ones(last.size, dtype=bool)    # digits from last - i to last
+    for i in range(3):
+        run &= digit[last - i]
+        symbols += np.where(run, b[last - i] - np.int16(ord("0")), 0) * np.int16(10**i)
+    if np.any(run & digit[last - 3]) or (symbols.size and symbols.max() >= d):
+        return None
+    return symbols.astype(np.uint8).reshape(k, N), values[which.ravel()]
 
 
 def _text_table(texts: list[str]) -> np.ndarray:

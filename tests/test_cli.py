@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from intricacy import (ConstructionSpec, SystemLaw, diagonal_law, product_law,
-                       sample_sparse_system, uniform_law)
+from intricacy import (ConstructionSpec, SystemLaw, diagonal_law, entropy,
+                       product_law, sample_sparse_system, uniform_law)
 from intricacy.cli import main
 from intricacy.experiments import CENSUS_CSV_HEADER, SWEEP_CSV_HEADER
 
@@ -135,6 +135,19 @@ HUGE_DENSE_N = {"d": 2, "N": 20000, "dense": [1.0]}
     pytest.param({"d": 2, "N": 1, "dense": [0.5, 0.5]},
                  ["profile", "--cap-subsets", "-1"],
                  id="profile-negative-cap-subsets"),
+    pytest.param({"d": 2, "N": 2, "support": [{"config": [True, False],
+                                               "p": 1.0}]},
+                 ["entropy"], id="boolean-symbols"),
+    pytest.param({"d": 2, "N": 2, "support": [{"config": [0, True],
+                                               "p": 1.0}]},
+                 ["entropy"], id="mixed-boolean-symbol"),
+    pytest.param({"d": 2, "N": 1, "support": [{"config": [0], "p": "0.5"},
+                                              {"config": [1], "p": "0.5"}]},
+                 ["entropy"], id="string-mass"),
+    pytest.param({"d": 2, "N": 1, "support": [{"config": [0], "p": True}]},
+                 ["entropy"], id="boolean-mass"),
+    pytest.param({"d": 2, "N": 1, "dense": ["0.5", "0.5"]}, ["entropy"],
+                 id="string-dense-cell"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
     if law is not None:
@@ -371,6 +384,28 @@ def test_construct_file_bytes_are_pinned(capsys, tmp_path, spec):
     assert hashlib.sha256(dest.read_bytes()).hexdigest() == CONSTRUCT_SHA256[spec]
     text = dest.read_text()
     assert SystemLaw.from_json(text).to_json() + "\n" == text
+
+
+@pytest.mark.parametrize("spec", CONSTRUCT_SHA256,
+                         ids=lambda spec: "-".join(map(str, spec)))
+def test_construct_files_are_read_without_json(capsys, tmp_path, monkeypatch,
+                                               spec):
+    # a construct file must take the block reader, in the API and the CLI:
+    # a change to to_json's bytes would otherwise silently slow every read
+    law = sample_sparse_system(ConstructionSpec(*spec))
+    dest = tmp_path / "law.json"
+    dest.write_text(law.to_json() + "\n")
+
+    def no_json(*args, **kwargs):
+        raise AssertionError("json.loads called on a construct file")
+
+    monkeypatch.setattr("intricacy.laws.json.loads", no_json)
+    back = SystemLaw.from_json(dest.read_text())
+    assert back.configs.tobytes() == law.configs.tobytes()
+    assert back.probs.tobytes() == law.probs.tobytes()
+    code, out, _ = run(capsys, "entropy", str(dest))
+    assert code == 0
+    assert out.startswith(f"entropy_nats={entropy(law)!r}, ")
 
 
 def test_construct_x_flag(capsys, tmp_path):

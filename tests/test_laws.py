@@ -1012,6 +1012,180 @@ def test_sparse_law_file_spans_blocks():
     assert law.to_json() == _entry_dicts_json(law)
 
 
+def _read_both_ways(text):
+    """What ``SystemLaw.from_json`` and the ``json`` route give for a text:
+    a law, or the type and message of the exception raised."""
+    out = []
+    for read in (SystemLaw.from_json,
+                 lambda t: SystemLaw.from_json_dict(json.loads(t))):
+        try:
+            out.append(read(text))
+        except Exception as exc:        # compared, not swallowed
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def _assert_same_read(text):
+    fast, slow = _read_both_ways(text)
+    if isinstance(slow, tuple):
+        assert fast == slow
+    else:
+        assert fast.kind == slow.kind and fast.d == slow.d and fast.N == slow.N
+        assert np.array_equal(fast.configs, slow.configs)
+        assert fast.probs.tobytes() == slow.probs.tobytes()
+    return fast
+
+
+def _support_file(d, N, configs, probs):
+    """A sparse law file in the canonical layout for any rows and masses,
+    normalized or not."""
+    rows = np.asarray(configs, dtype=np.uint8).reshape(len(probs), N)
+    body = b"".join(laws._support_text(d, rows, np.asarray(probs, float)))
+    return f'{{"d": {d}, "N": {N}, "support": [{body.decode()}]}}'
+
+
+SPECIAL_MASSES = [5e-324, 1e-300, 0.1, 1 / 3, 0.25, 2.0**-20]
+
+
+@st.composite
+def canonical_files(draw):
+    """(law, text) of a valid sparse law in the canonical layout: 1-3 digit
+    symbols, some special masses, optionally a trailing newline."""
+    d = draw(st.sampled_from([2, 3, 10, 11, 100, 256]))
+    N = draw(st.integers(0, 8))
+    rows = draw(st.sampled_from([1, 5, 300, 3000]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    configs = np.unique(gen.integers(0, d, size=(rows, N)), axis=0)
+    gen.shuffle(configs)
+    n = len(configs)
+    specials = draw(st.lists(st.sampled_from(SPECIAL_MASSES), max_size=4,
+                             unique=True))[:n - 1]
+    m = n - len(specials)
+    if draw(st.booleans()):
+        # c / 2^30 shares of the rest
+        weights = (gen.multinomial(2**30 - m, np.ones(m) / m) + 1) / 2.0**30
+    else:
+        weights = gen.dirichlet(np.ones(m))
+    probs = np.concatenate([specials, weights * (1.0 - sum(specials))])
+    gen.shuffle(probs)
+    law = SystemLaw.sparse(d, N, configs, probs)
+    text = law.to_json() + ("\n" if draw(st.booleans()) else "")
+    return law, text
+
+
+@given(canonical_files())
+@settings(max_examples=60, deadline=None)
+def test_canonical_law_files_take_the_block_reader(case):
+    law, text = case
+    assert laws._read_support(text) is not None
+    back = _assert_same_read(text)
+    assert back.configs.tobytes() == law.configs.tobytes()
+    assert back.probs.tobytes() == law.probs.tobytes()
+
+
+def test_block_reader_spans_blocks():
+    # ~300 KB of d=256 entries: several blocks, 3-digit symbols at every cut
+    gen = np.random.default_rng(7)
+    configs = np.unique(gen.integers(0, 256, size=(6000, 6)), axis=0)
+    law = SystemLaw.sparse(256, 6, configs, gen.dirichlet(np.ones(len(configs))))
+    text = law.to_json()
+    assert len(text) > 4 * laws._READ_BLOCK
+    assert laws._read_support(text) is not None
+    _assert_same_read(text)
+
+
+def _variants(law):
+    """Texts of one law, and of broken laws, that are not all canonical."""
+    obj = json.loads(law.to_json())
+    entries = obj["support"]
+    text = law.to_json()
+    # the first entry's mass, and its first symbol if it has one
+    mass = f'"p": {float(law.probs[0])!r}}}'
+    symbol = f'"config": [{law.configs[0, 0]}' if law.N else '"config": ['
+    return {
+        "indent": json.dumps(obj, indent=1),
+        "compact": json.dumps(obj, separators=(",", ":")),
+        "reordered-keys": json.dumps({"support": entries, "N": law.N, "d": law.d}),
+        "unsorted-rows": _support_file(law.d, law.N, law.configs[::-1],
+                                       law.probs[::-1]),
+        "repeated-row": _support_file(
+            law.d, law.N, np.concatenate([law.configs, law.configs[:1]]),
+            np.concatenate([law.probs, [0.0]])),
+        "symbol-at-d": text.replace(symbol, f'"config": [{law.d}', 1),
+        "mass-1e400": text.replace(mass, '"p": 1e400}', 1),
+        "mass-NaN": text.replace(mass, '"p": NaN}', 1),
+        "escaped-key": text.replace('"p": ', '"\\u0070": ', 1),
+        "escaped-digit-symbol": text.replace(symbol, '"config": ["\\u0030"', 1),
+        "truncated": text[:len(text) // 2],
+        "trailing-space": text + " ",
+    }
+
+
+@given(canonical_files())
+@settings(max_examples=40, deadline=None)
+def test_non_canonical_law_files_read_like_json(case):
+    law, _ = case
+    for name, text in _variants(law).items():
+        _assert_same_read(text)
+
+
+@pytest.mark.parametrize("name", [
+    "unsorted-rows", "repeated-row", "symbol-at-d", "mass-1e400", "mass-NaN"])
+def test_non_canonical_law_file_outcomes(name):
+    law = SystemLaw.sparse(3, 2, [[0, 1], [2, 2], [1, 0]], [0.5, 0.25, 0.25])
+    fast, slow = _read_both_ways(_variants(law)[name])
+    if name == "unsorted-rows":
+        assert np.array_equal(fast.configs, law.configs)
+        assert fast.probs.tobytes() == law.probs.tobytes()
+    else:
+        assert fast == slow and fast[0] is LawValidationError
+        assert {"repeated-row": "duplicate", "symbol-at-d": "0..2",
+                "mass-1e400": "non-finite", "mass-NaN": "non-finite"}[name] in fast[1]
+
+
+@pytest.mark.parametrize("obj,what", [
+    ({"d": 2, "N": 2, "support": [{"config": [True, False], "p": 1.0}]},
+     "configuration symbols"),
+    ({"d": 2, "N": 2, "support": [{"config": [0, True], "p": 1.0}]},
+     "configuration symbols"),
+    ({"d": 2, "N": 1, "support": [{"config": [0], "p": "0.5"},
+                                  {"config": [1], "p": "0.5"}]},
+     "probability masses"),
+    ({"d": 2, "N": 1, "support": [{"config": [0], "p": True}]},
+     "probability masses"),
+    ({"d": 2, "N": 1, "dense": ["0.5", "0.5"]}, "dense cells"),
+    ({"d": 2, "N": 1, "dense": [[True], [0]]}, "dense cells"),
+], ids=["boolean-symbols", "mixed-boolean-symbol", "string-mass",
+        "boolean-mass", "string-dense-cell", "nested-boolean-dense-cell"])
+def test_non_numeric_law_file_values_rejected(obj, what):
+    with pytest.raises(LawValidationError, match=f"{what} must be numbers"):
+        SystemLaw.from_json_dict(obj)
+    with pytest.raises(LawValidationError, match=f"{what} must be numbers"):
+        SystemLaw.from_json(json.dumps(obj))
+
+
+def test_integral_float_symbols_accepted():
+    law = SystemLaw.from_json('{"d": 2, "N": 2, "support": '
+                              '[{"config": [1.0, 0], "p": 1.0}]}')
+    assert law.configs.tolist() == [[1, 0]]
+
+
+def test_block_reader_memory_is_a_third_of_json():
+    import tracemalloc
+    text = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77)).to_json()
+    peaks = []
+    for read in (SystemLaw.from_json,
+                 lambda t: SystemLaw.from_json_dict(json.loads(t))):
+        tracemalloc.start()
+        try:
+            read(text)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # no per-entry Python objects and no whole-text copy
+    assert 3 * peaks[0] <= peaks[1]
+
+
 def test_json_schema_fields():
     obj = json.loads(diagonal_law(2, 2).to_json())
     assert obj["d"] == 2 and obj["N"] == 2

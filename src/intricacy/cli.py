@@ -135,9 +135,9 @@ def cmd_construct(args) -> int:
 def cmd_sweep(args) -> int:
     families = _families(args.families)
     N_list = _parse_range(args.N)
-    seeds = _parse_range(args.seeds)
     records = experiments.convergence_sweep(
-        families, args.d, args.x, N_list, seeds, subset_cap=args.cap_subsets)
+        families, args.d, args.x, N_list, args.seeds,
+        subset_cap=args.cap_subsets)
     with _out_stream(args) as out:
         out.write(experiments.SWEEP_CSV_HEADER + "\n")
         for r in records:
@@ -202,6 +202,24 @@ def _parse_range(text: str) -> list[int]:
     return out
 
 
+def _seed(text: str) -> int:
+    """A seed flag's value: an integer in 0..2^64 - 1, the splitmix64
+    seeds, so no two values name one stream."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 1 << 64:
+        raise argparse.ArgumentTypeError(
+            f"a seed must be an integer in 0..2^64 - 1, got {text!r}")
+    return value
+
+
+def _seeds(text: str) -> list[int]:
+    """``--seeds``: a range of :func:`_parse_range`, each a :func:`_seed`."""
+    return [_seed(str(seed)) for seed in _parse_range(text)]
+
+
 def _cap(text: str) -> int:
     """A cap flag's value: an integer >= 0."""
     try:
@@ -231,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         size = p.add_mutually_exclusive_group(required=True)
         size.add_argument("--M", type=int)
         size.add_argument("--x", type=float)
-        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--seed", type=_seed, required=True)
         p.add_argument("--cap-support", type=_cap, default=DEFAULT_SUPPORT_CAP)
 
     p = sub.add_parser("entropy", help="entropy of a law file")
@@ -244,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int,
                    help=f"with --sampled: masks per subset size "
                         f"(default {SAMPLES_PER_SIZE})")
-    p.add_argument("--seed", type=int, help="with --sampled: the mask stream's seed")
+    p.add_argument("--seed", type=_seed,
+                   help="with --sampled: the mask stream's seed")
     output(p)
     p.add_argument("--cap-subsets", type=_cap, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_profile)
@@ -272,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--N", required=True, help="e.g. 8..16 or 8,12,16")
-    p.add_argument("--seeds", required=True, help="e.g. 0..19")
+    p.add_argument("--seeds", type=_seeds, required=True, help="e.g. 0..19")
     output(p, fmt=False)
     p.add_argument("--cap-subsets", type=_cap, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_sweep)
@@ -282,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="label written to the CSV's family column; the "
                         "census does not depend on the family")
     construction(p)
-    p.add_argument("--census-seed", type=int, required=True)
+    p.add_argument("--census-seed", type=_seed, required=True)
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--samples", type=int, default=1000)
@@ -295,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--x", type=float, help="optional entropy target")
     p.add_argument("--penalty", type=float,
                    help="with --x: the target penalty's weight (default 20)")

@@ -220,13 +220,22 @@ def _subset_keys(d: int, N: int) -> np.ndarray:
     return keys
 
 
-def _intricacy_and_grad(p: np.ndarray, c: np.ndarray, keys: np.ndarray):
-    """I^c(p) in nats and its gradient, via the marginals of every subset."""
-    masks, size = keys.shape
-    w = 2.0 * c[np.bitwise_count(np.arange(masks, dtype=np.uint32))]
+def _subset_weights(c: np.ndarray, N: int) -> np.ndarray:
+    """w_S = 2 c_|S| for every mask S != empty and w_0 = 0, so that
+    I^c(p) = sum_S w_S H(X_S) - H(X)."""
+    w = 2.0 * c[np.bitwise_count(np.arange(1 << N, dtype=np.uint32))]
     w[0] = 0.0
-    nu = np.bincount(keys.ravel(), weights=np.tile(p.ravel(), masks),
-                     minlength=masks * size)
+    return w
+
+
+def _intricacy_and_grad(p: np.ndarray, w: np.ndarray, keys: np.ndarray):
+    """I^c(p) in nats and its gradient, via the marginals of every subset;
+    ``w`` is :func:`_subset_weights` of c and ``keys`` :func:`_subset_keys`,
+    both built once per search."""
+    masks, size = keys.shape
+    # p once per mask: row S of keys sends p's cells to S's marginal
+    tiled = np.broadcast_to(p.reshape(1, size), keys.shape).ravel()
+    nu = np.bincount(keys.ravel(), weights=tiled, minlength=masks * size)
     lognu = np.log(np.maximum(nu, 1e-300))
     h = -(nu * lognu).reshape(masks, size).sum(axis=1)
     # I = sum_{S != empty} w_S H(X_S) - H(X); the full mask's block of nu is p
@@ -265,6 +274,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
                          "number >= 0")
     rng = SplitMix64(seed)
     keys = _subset_keys(d, N)
+    w = _subset_weights(table.c, N)
     shape = (d,) * N
     norm = N * math.log(d)
     best = None
@@ -274,17 +284,17 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
         p = np.maximum(p.reshape(shape) / p.sum(), 1e-12)
         p /= p.sum()
         for t in range(1, iterations + 1):
-            value, grad = _intricacy_and_grad(p, table.c, keys)
+            value, grad = _intricacy_and_grad(p, w, keys)
             if entropy_target is not None:
                 logp = np.log(np.maximum(p, 1e-300))
                 h_n = float(-(p * logp).sum()) / norm
-                w = penalty_weight * t / iterations
-                grad += 2.0 * w * (h_n - entropy_target) * (1.0 + logp) / norm
+                weight = penalty_weight * t / iterations
+                grad += 2.0 * weight * (h_n - entropy_target) * (1.0 + logp) / norm
             step = STEP_SIZE / math.sqrt(t)
             p = p * np.exp(step * (grad - grad.max()))
             p /= p.sum()
         law = SystemLaw.dense(d, N, p.ravel())
-        value, _ = _intricacy_and_grad(p, table.c, keys)
+        value, _ = _intricacy_and_grad(p, w, keys)
         x_ach = min(max(entropy(law) / norm, 0.0), 1.0)
         cert = ic_n(x_ach, table) - value / norm
         results.append(RestartResult(value, value / norm, x_ach, cert))

@@ -33,6 +33,9 @@ MAX_D = 256
 _READ_BLOCK = 1 << 16
 # The longest repr of a float, '-2.2250738585072014e-308'.
 _MASS_WIDTH = 24
+# Cells of the largest sub-lattice evaluated in whole-array passes: 128 KB
+# of floats, so a block's few arrays stay in cache.
+_LATTICE_BLOCK = 1 << 14
 _SUPPORT_HEAD = re.compile(r'\{"d": (\d{1,3}), "N": (\d{1,9}), "support": \[')
 
 
@@ -170,8 +173,9 @@ class SystemLaw:
     def _entropies(self) -> np.ndarray:
         """Read-only H(X_S) for every mask S, indexed by mask: the lattice
         path when (d+1)^N <= 2^N * support, the sort path otherwise (see
-        :func:`all_subset_entropies`).  Built on first use and held for the
-        law's lifetime (2^N floats: 32 KB at N=12, 32 MB at N=22).  A law
+        :func:`all_subset_entropies`, which gives each path's memory and
+        summation order).  Built on first use and held for the law's
+        lifetime (2^N floats: 32 KB at N=12, 32 MB at N=22).  A law
         and its arrays are frozen, and ``replace``, :func:`marginal` and the
         transforms build new laws, so the array cannot go stale."""
         if (self.d + 1) ** self.N <= (1 << self.N) * self.support_size:
@@ -204,20 +208,25 @@ class SystemLaw:
     def from_json_dict(obj: dict) -> "SystemLaw":
         """Law from a parsed law file (``json.loads`` of its text); raises
         :class:`LawValidationError` for any malformed input.  Symbols,
-        masses and dense cells must be JSON numbers: a string, boolean or
-        null, which numpy would read as a number, is rejected."""
+        masses and dense cells must be JSON numbers: a string, boolean,
+        null or list, which numpy would read as a number or flatten, is
+        rejected, and each configuration must be a list of N of them."""
         try:
             d, N = _integer(obj["d"], "d"), _integer(obj["N"], "N")
             if "dense" in obj:
                 return SystemLaw.dense(d, N, _numbers(obj["dense"], "dense cells"))
             entries = obj["support"]
-            configs = _numbers([e["config"] for e in entries],
+            configs = [e["config"] for e in entries]
+            if not all(isinstance(c, list) and len(c) == N for c in configs):
+                raise LawValidationError(
+                    f"each configuration must be a list of N={N} symbols")
+            symbols = _numbers([s for c in configs for s in c],
                                "configuration symbols")
             probs = _numbers([e["p"] for e in entries], "probability masses")
         except (KeyError, TypeError) as exc:
             raise LawValidationError("malformed law JSON: needs d, N and a "
                                      f"'dense' or 'support' field ({exc!r})") from None
-        return SystemLaw.sparse(d, N, np.array(configs).reshape(len(configs), N),
+        return SystemLaw.sparse(d, N, np.array(symbols).reshape(len(configs), N),
                                 probs)
 
     @staticmethod
@@ -239,10 +248,10 @@ class SystemLaw:
         return SystemLaw.sparse(*support)
 
 
-def _numbers(values, what: str):
-    """``values`` as given, when every value in it is a JSON number; else
-    :class:`LawValidationError`.  Nested lists are looked into."""
-    bad = set(map(type, np.asarray(values, dtype=object).ravel())) - {int, float}
+def _numbers(values: list, what: str) -> list:
+    """``values`` as given, when each of them is a JSON number; else
+    :class:`LawValidationError`."""
+    bad = set(map(type, values)) - {int, float}
     if bad:
         names = ", ".join(sorted(t.__name__ for t in bad))
         raise LawValidationError(f"{what} must be numbers, got {names}")
@@ -479,9 +488,13 @@ def relabel_symbols(law: SystemLaw, tables) -> SystemLaw:
 
 def _scatter(law: SystemLaw) -> np.ndarray:
     """The flat d^N table of a law's support."""
-    d, N = law.d, law.N
-    table = np.zeros(d**N)     # d^N cells exist, so the flat index fits
-    idx = law.configs.astype(np.int64) @ d ** np.arange(N - 1, -1, -1)
+    table = np.zeros(law.d**law.N)  # d^N cells exist, so the flat index fits
+    # Horner's rule, one uint8 column at a time: numpy casts it in small
+    # buffers, so no (support, N) array of indices is made
+    idx = np.zeros(law.support_size, dtype=np.int64)
+    for column in law.configs.T:
+        idx *= law.d
+        idx += column
     table[idx] = law.probs
     return table
 
@@ -489,14 +502,15 @@ def _scatter(law: SystemLaw) -> np.ndarray:
 # --- core operations ----------------------------------------------------
 
 
-def _plogp_sum(p: np.ndarray) -> np.float64:
-    """-sum p log p over every entry of an array of masses >= 0, in nats:
-    zero masses add 0, the terms are added pairwise (``np.add.reduce``, so
-    the result does not depend on the BLAS thread count), and the result is
-    never -0.0."""
-    logs = np.log(np.maximum(p, _SMALLEST))
+def _plogp_sum(p: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """-sum p log p over every entry of an array of masses >= 0 (or along
+    ``axis``), in nats: zero masses add 0, the terms are added pairwise
+    (``np.add.reduce``, so the result does not depend on the BLAS thread
+    count), and no result is -0.0.  One temporary the size of ``p``."""
+    logs = np.maximum(p, _SMALLEST, out=np.empty(p.shape))   # also for 0-d p
+    np.log(logs, out=logs)
     logs *= p
-    return -np.add.reduce(logs, axis=None) + 0.0
+    return -np.add.reduce(logs, axis=axis) + 0.0
 
 
 def entropy(law: SystemLaw) -> float:
@@ -699,6 +713,37 @@ def _sorted_entropies(law: SystemLaw) -> np.ndarray:
     return out
 
 
+def _block_entropies(marg: np.ndarray, b: int, d: int) -> np.ndarray:
+    """H of every marginal of ``marg`` that keeps a subset T of its first b
+    axes and all of its later ones, indexed by T (bit j for axis j).
+
+    ``marg`` is C-ordered: b axes of d cells, then K cells.  Each of b
+    passes gives the leading axis a cell d, its sum over the other d, and
+    moves it behind the other droppable axes, ahead of the K cells; so every
+    copy and sum runs over rows of at least K cells, and after the passes
+    cell (i_0, ..., i_{b-1}, k) is the mass of the marginal in which i_j = d
+    means axis j is summed out.  Then every cell's -p log p is taken at
+    once, each row's K terms are added pairwise, and b passes split axis j
+    (outermost first) into the sum of its d kept cells and its cell d."""
+    K = marg.size // d**b
+    x = marg
+    for _ in range(b):
+        x = x.reshape(d, -1, K)
+        y = np.empty((x.shape[1], d + 1, K))
+        y[:, :d] = x.transpose(1, 0, 2)
+        np.add.reduce(x, axis=0, out=y[:, d])
+        x = y
+    h = _plogp_sum(x.reshape(-1, K), axis=1)
+    for j in range(b):
+        h = h.reshape(1 << j, d + 1, -1)
+        split = np.empty((1 << j, 2, h.shape[2]))
+        split[:, 0] = h[:, d]
+        np.add.reduce(h[:, :d], axis=1, out=split[:, 1])
+        h = split
+    # axis j kept sets bit b-1-j of h's flat index; reversed axes, bit j
+    return h.reshape((2,) * b).transpose().ravel()
+
+
 def _lattice_entropies(law: SystemLaw) -> np.ndarray:
     """Lattice path of :func:`all_subset_entropies`: the support is
     scattered into its d^N table, and the marginal of S is the marginal of
@@ -706,21 +751,27 @@ def _lattice_entropies(law: SystemLaw) -> np.ndarray:
 
     The walk starts at the full mask and only drops coordinates below the
     last one dropped, so every subset is reached exactly once and the
-    recursion holds one marginal per level.  Each marginal's entropy is
-    :func:`_plogp_sum` of it: zero cells add 0, and a point mass gives 0.0.
+    recursion holds one marginal per level.  A node whose first b axes are
+    still droppable, with K cells in its other axes, covers 2^b subsets; when
+    (d+1)^b * K <= ``_LATTICE_BLOCK`` they are all evaluated at once by
+    :func:`_block_entropies`, else the node's own entropy is
+    :func:`_plogp_sum` of it and the walk goes on to its children.  Zero
+    cells add 0, and a point mass gives 0.0.
     """
     N, d = law.N, law.d
     table = _scatter(law)
     out = np.empty(1 << N)
 
-    def walk(marg, mask, bits):
-        # ``bits`` (1 << i for the coordinates i still droppable, increasing)
-        # name the leading axes of ``marg``
+    def walk(marg, mask, b):
+        # the first b axes of marg are coordinates 0..b-1, all still in mask
+        if (d + 1) ** b * (marg.size // d**b) <= _LATTICE_BLOCK:
+            out[mask + 1 - (1 << b):mask + 1] = _block_entropies(marg, b, d)
+            return
         out[mask] = _plogp_sum(marg)
-        for pos, bit in enumerate(bits):
-            walk(np.add.reduce(marg, axis=pos), mask ^ bit, bits[:pos])
+        for pos in range(b):
+            walk(np.add.reduce(marg, axis=pos), mask ^ (1 << pos), pos)
 
-    walk(table.reshape((d,) * N), full_mask(N), tuple(1 << i for i in range(N)))
+    walk(table.reshape((d,) * N), full_mask(N), N)
     out[0] = 0.0                        # not -s log s of the total s
     return out
 
@@ -732,9 +783,16 @@ def all_subset_entropies(law: SystemLaw, *,
     Two algorithms, chosen by their cost on this law:
 
     - the *lattice* path sums one axis of the marginal of S + {i} to get
-      the marginal of S, walking the subset lattice once: (d+1)^N work and
-      at most ~2 d^N floats held at a time (the support is first scattered
-      into its d^N table);
+      the marginal of S, walking the subset lattice once: (d+1)^N work.
+      Each sub-lattice of at most ``_LATTICE_BLOCK`` (2^14) cells, counting
+      a "summed out" cell on each droppable axis, is evaluated at once in
+      whole-array passes (:func:`_block_entropies`); larger nodes take one
+      step each.  It holds the 2^N output, at most 2 d^N floats of the
+      support's scattered d^N table, one marginal per level and one
+      temporary, and a few blocks.  A node larger than a block adds its
+      -p log p terms pairwise; a block adds each run of the node's
+      trailing cells pairwise, then the runs one droppable axis at a time,
+      d terms per step;
     - the *sort* path (the one :func:`subset_entropies` uses) groups the
       support by its projected configuration, mask by mask: about
       2^N * support * log(support) work per key word, with chunks of masks

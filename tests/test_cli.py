@@ -69,6 +69,29 @@ def exit_code(capsys, argv):
 
 
 HUGE_DENSE_N = {"d": 2, "N": 20000, "dense": [1.0]}
+CENSUS = ["census", "--d", "2", "--N", "6", "--M", "3", "--y", "0.5",
+          "--epsilon", "0.1"]
+# every seed option, just outside 0..2^64 - 1
+SEED_OUT_OF_RANGE = [
+    ("construct-negative-seed",
+     ["construct", "--d", "2", "--N", "4", "--M", "2", "--seed", "-1"]),
+    ("construct-seed-2^64",
+     ["construct", "--d", "2", "--N", "4", "--M", "2", "--seed", str(2**64)]),
+    ("maximize-negative-seed",
+     ["maximize", "--d", "2", "--N", "2", "--seed", "-1"]),
+    ("maximize-seed-2^64",
+     ["maximize", "--d", "2", "--N", "2", "--seed", str(2**64)]),
+    ("census-negative-seed", [*CENSUS, "--seed", "-1", "--census-seed", "2"]),
+    ("census-negative-census-seed",
+     [*CENSUS, "--seed", "1", "--census-seed", "-1"]),
+    ("census-census-seed-2^64",
+     [*CENSUS, "--seed", "1", "--census-seed", str(2**64)]),
+    ("sweep-negative-seed",
+     ["sweep", "--d", "2", "--x", "0.5", "--N", "6", "--seeds", "-1"]),
+    ("sweep-seed-range-past-2^64",
+     ["sweep", "--d", "2", "--x", "0.5", "--N", "6",
+      "--seeds", f"{2**64 - 1}..{2**64}"]),
+]
 
 
 @pytest.mark.parametrize("law,argv", [
@@ -148,6 +171,16 @@ HUGE_DENSE_N = {"d": 2, "N": 20000, "dense": [1.0]}
                  ["entropy"], id="boolean-mass"),
     pytest.param({"d": 2, "N": 1, "dense": ["0.5", "0.5"]}, ["entropy"],
                  id="string-dense-cell"),
+    pytest.param({"d": 2, "N": 1, "support": [{"config": [0], "p": [0.5]},
+                                              {"config": [1], "p": [0.5]}]},
+                 ["entropy"], id="nested-mass"),
+    pytest.param({"d": 2, "N": 2, "support": [{"config": [[0], [1]], "p": 0.5},
+                                              {"config": [[1], [0]], "p": 0.5}]},
+                 ["entropy"], id="nested-config"),
+    *[pytest.param(None, argv, id=name) for name, argv in SEED_OUT_OF_RANGE],
+    pytest.param({"d": 2, "N": 1, "dense": [0.5, 0.5]},
+                 ["profile", "--sampled", "--seed", "-1"],
+                 id="profile-negative-seed"),
 ])
 def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
     if law is not None:
@@ -414,6 +447,14 @@ def test_construct_x_flag(capsys, tmp_path):
                        "--x", "0.5", "--seed", "1", "--out", str(dest))
     assert code == 0
     assert "M=4" in err
+
+
+def test_largest_seed_is_accepted(capsys, tmp_path):
+    dest = tmp_path / "c.json"
+    code, _, err = run(capsys, "construct", "--d", "2", "--N", "4", "--M", "2",
+                       "--seed", str(2**64 - 1), "--out", str(dest))
+    assert code == 0
+    assert f"seed={2**64 - 1} " in err
 
 
 def test_construct_needs_exactly_one_of_m_x(capsys, tmp_path):

@@ -14,7 +14,7 @@ from intricacy import (CapExceededError, SplitMix64, SystemLaw,
 from intricacy.construction import ConstructionSpec
 from intricacy.experiments import (CENSUS_CSV_HEADER, SWEEP_CSV_HEADER,
                                    ExperimentRecord, _intricacy_and_grad,
-                                   _subset_keys)
+                                   _subset_keys, _subset_weights)
 
 FAMILIES = [("est", est_measure()), ("uniform", uniform_measure()),
             ("p-sym:0.3", p_symmetric_measure(0.3))]
@@ -221,17 +221,46 @@ def test_maximizer_deterministic():
 def test_intricacy_and_grad_value_and_gradient(d, N):
     table = coefficient_table(est_measure(), N)
     p = np.random.default_rng(17 * d + N).dirichlet(np.ones(d**N))
-    keys = _subset_keys(d, N)
-    value, grad = _intricacy_and_grad(p.reshape((d,) * N), table.c, keys)
+    keys, w = _subset_keys(d, N), _subset_weights(table.c, N)
+    value, grad = _intricacy_and_grad(p.reshape((d,) * N), w, keys)
     assert value == pytest.approx(
         intricacy_defn(SystemLaw.dense(d, N, p), table), abs=1e-12)
     h = 1e-6
     for x in range(d**N):
         e = np.zeros(d**N)
         e[x] = h
-        up, _ = _intricacy_and_grad((p + e).reshape((d,) * N), table.c, keys)
-        down, _ = _intricacy_and_grad((p - e).reshape((d,) * N), table.c, keys)
+        up, _ = _intricacy_and_grad((p + e).reshape((d,) * N), w, keys)
+        down, _ = _intricacy_and_grad((p - e).reshape((d,) * N), w, keys)
         assert grad.ravel()[x] == pytest.approx((up - down) / (2 * h), abs=1e-6)
+
+
+def _intricacy_and_grad_per_call(p, c, keys):
+    """The search objective with its weights and tiled masses built on
+    every call: the reference the hoisted form must match bit for bit."""
+    masks, size = keys.shape
+    w = 2.0 * c[np.bitwise_count(np.arange(masks, dtype=np.uint32))]
+    w[0] = 0.0
+    nu = np.bincount(keys.ravel(), weights=np.tile(p.ravel(), masks),
+                     minlength=masks * size)
+    lognu = np.log(np.maximum(nu, 1e-300))
+    h = -(nu * lognu).reshape(masks, size).sum(axis=1)
+    value = float(w @ h - h[-1])
+    grad = 1.0 + lognu[keys[-1]] - w @ (1.0 + lognu[keys])
+    return value, grad.reshape(p.shape)
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 6), (3, 4)])
+@pytest.mark.parametrize("family", ["est", "uniform", "p-sym:0.3"])
+def test_intricacy_and_grad_matches_per_call_weights_bitwise(d, N, family):
+    table = coefficient_table(parse_family(family), N)
+    keys, w = _subset_keys(d, N), _subset_weights(table.c, N)
+    gen = np.random.default_rng(d * 100 + N)
+    for _ in range(3):
+        p = gen.dirichlet(np.ones(d**N)).reshape((d,) * N)
+        value, grad = _intricacy_and_grad(p, w, keys)
+        want_value, want_grad = _intricacy_and_grad_per_call(p, table.c, keys)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
 
 
 def test_maximizer_caps():

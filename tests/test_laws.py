@@ -377,6 +377,53 @@ def test_kernel_paths_match_oracle(d, N, sparse, seed):
         assert np.allclose(path(law), want, rtol=0.0, atol=1e-12), path.__name__
 
 
+def _law_with_zero_cells(gen, d, N):
+    table = gen.dirichlet(np.ones(d**N))
+    table[gen.random(d**N) < 0.5] = 0.0
+    table[gen.integers(d**N)] += 0.25           # at least one cell is kept
+    return SystemLaw.dense(d, N, table / table.sum())
+
+
+@given(d=st.sampled_from([2, 3, 4, 5]), N=st.integers(0, 6),
+       zeros=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       middle=st.integers(1, 6**6))
+@settings(max_examples=40, deadline=None)
+def test_lattice_blocks_match_oracle_at_every_block_size(d, N, zeros, seed,
+                                                         middle):
+    gen = np.random.default_rng(seed)
+    law = (_law_with_zero_cells if zeros else random_dense_law)(gen, d, N)
+    pmap = naive_pmap(law)
+    want = [naive_subset_entropy(pmap, _keep(m, N)) for m in range(1 << N)]
+    # no blocks (the per-node walk everywhere), a mix of blocks and per-node
+    # steps, every node but the top one, and the whole law in one block
+    outs = []
+    for block in (0, middle, (d + 1) ** N - 1, (d + 1) ** N):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(laws, "_LATTICE_BLOCK", block)
+            H = laws._lattice_entropies(law)
+        assert np.allclose(H, want, rtol=0.0, atol=1e-12), block
+        assert H[0] == 0.0 and not np.signbit(H[0])
+        outs.append(H)
+    for H in outs[1:]:
+        assert np.allclose(H, outs[0], rtol=0.0, atol=1e-14)
+
+
+def test_lattice_memory_is_two_tables_and_a_few_blocks():
+    import tracemalloc
+    d, N = 2, 16
+    law = random_dense_law(np.random.default_rng(16), d, N)
+    tracemalloc.start()
+    try:
+        laws._lattice_entropies(law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 2^N output, the table and one marginal per level, and the blocks'
+    # arrays; no (support, N) array of indices while the table is scattered
+    floats = (1 << N) + 2 * d**N + 4 * laws._LATTICE_BLOCK
+    assert peak <= 8 * floats
+
+
 def _kernel_path(monkeypatch, law):
     """The kernel :func:`all_subset_entropies` picks for ``law``.  The stubs
     run on a copy, so their output is not cached on ``law`` itself."""
@@ -1155,13 +1202,31 @@ def test_non_canonical_law_file_outcomes(name):
      "probability masses"),
     ({"d": 2, "N": 1, "dense": ["0.5", "0.5"]}, "dense cells"),
     ({"d": 2, "N": 1, "dense": [[True], [0]]}, "dense cells"),
+    ({"d": 2, "N": 1, "support": [{"config": [0], "p": [0.5]},
+                                  {"config": [1], "p": [0.5]}]},
+     "probability masses"),
+    ({"d": 2, "N": 2, "support": [{"config": [[0], [1]], "p": 0.5},
+                                  {"config": [[1], [0]], "p": 0.5}]},
+     "configuration symbols"),
 ], ids=["boolean-symbols", "mixed-boolean-symbol", "string-mass",
-        "boolean-mass", "string-dense-cell", "nested-boolean-dense-cell"])
+        "boolean-mass", "string-dense-cell", "nested-boolean-dense-cell",
+        "nested-mass", "nested-config"])
 def test_non_numeric_law_file_values_rejected(obj, what):
     with pytest.raises(LawValidationError, match=f"{what} must be numbers"):
         SystemLaw.from_json_dict(obj)
     with pytest.raises(LawValidationError, match=f"{what} must be numbers"):
         SystemLaw.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("config", [[0, 1, 0], [1], [[0, 1]], 1, None],
+                         ids=["too-long", "too-short", "nested-row", "number",
+                              "null"])
+def test_configurations_must_be_lists_of_n_symbols(config):
+    obj = {"d": 2, "N": 2, "support": [{"config": config, "p": 1.0}]}
+    for read in (SystemLaw.from_json_dict,
+                 lambda o: SystemLaw.from_json(json.dumps(o))):
+        with pytest.raises(LawValidationError, match="list of N=2 symbols"):
+            read(obj)
 
 
 def test_integral_float_symbols_accepted():

@@ -18,15 +18,15 @@ from .coefficients import CoefficientTable, coefficient_table
 from .construction import (ConstructionSpec, m_from_target,
                            sample_sparse_system)
 from .laws import (DEFAULT_SUBSET_CAP, CapExceededError, EntropyProfile,
-                   SystemLaw, entropy, entropy_profile_exact,
+                   SystemLaw, _check_sizes, entropy, entropy_profile_exact,
                    size_k_masks, subset_entropies)
 from .profiles import deficit_report, ic_limit, ic_n, ideal_profile
 from .rng import SplitMix64
 
-# Maximizer search: exponentiated-gradient step size and the dense caps.
+# Maximizer search: exponentiated-gradient step size, and the cap on the
+# (d+1)^N cells of the subset lattice it evaluates at every step.
 STEP_SIZE = 0.5
-SEARCH_CAP_N = 6
-SEARCH_CAP_D = 3
+SEARCH_CAP_CELLS = 3**12
 
 SWEEP_CSV_HEADER = ("family,d,N,M,seed,x_N,I_N,icn_at_xN,deficit,"
                     "sup_profile_gap")
@@ -201,46 +201,44 @@ class SearchResult:
     restarts: list[RestartResult] = field(default_factory=list)
 
 
-def _subset_keys(d: int, N: int) -> np.ndarray:
-    """(2^N, d^N) matrix whose row S holds, for every configuration x, the
-    index of x's projection onto S, offset by S * d^N.
-
-    One ``bincount`` over it gives every subset marginal at once.
-    """
-    size = d**N
-    x = np.arange(size)
-    digits = [(x // d ** (N - 1 - i)) % d for i in range(N)]
-    keys = np.empty((1 << N, size), dtype=np.intp)
-    for mask in range(1 << N):
-        proj = np.zeros(size, dtype=np.intp)
-        for i in range(N):
-            if (mask >> i) & 1:
-                proj = proj * d + digits[i]
-        keys[mask] = mask * size + proj
-    return keys
+def _lattice_factor(d: int, n: int):
+    """E^(x)n for E = [I_d; 1^T], whose rows are the cells of the subset
+    lattice of n axes (base d+1, digit d: summed out), and their kept axes."""
+    E = np.vstack([np.eye(d), np.ones(d)])
+    kept = np.append(np.ones(d, dtype=np.intp), 0)
+    factor, k = np.ones((1, 1)), np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        factor = np.kron(factor, E)
+        k = np.add.outer(k, kept).ravel()
+    return factor, k
 
 
-def _subset_weights(c: np.ndarray, N: int) -> np.ndarray:
-    """w_S = 2 c_|S| for every mask S != empty and w_0 = 0, so that
-    I^c(p) = sum_S w_S H(X_S) - H(X)."""
-    w = 2.0 * c[np.bitwise_count(np.arange(1 << N, dtype=np.uint32))]
-    w[0] = 0.0
-    return w
+def _search_lattice(d: int, N: int, c: np.ndarray):
+    """The ``A, B, u, shift`` of :func:`_intricacy_and_grad`, built once per
+    search.  I^c(p) = sum_{S != empty} 2 c_|S| H(X_S) - H(X), so a cell with
+    kept axes S weighs u_S = -2 c_|S|, but 0 if S is empty and 1 more if S
+    is full; the shift is the sum of u_S over the 2^N masks."""
+    A, ka = _lattice_factor(d, N // 2)
+    B, kb = _lattice_factor(d, N - N // 2)
+    u = -2.0 * c
+    u[0] = 0.0
+    u[N] += 1.0
+    shift = sum(math.comb(N, k) * u[k] for k in range(N + 1))
+    return A, B, u[np.add.outer(ka, kb)], shift
 
 
-def _intricacy_and_grad(p: np.ndarray, w: np.ndarray, keys: np.ndarray):
-    """I^c(p) in nats and its gradient, via the marginals of every subset;
-    ``w`` is :func:`_subset_weights` of c and ``keys`` :func:`_subset_keys`,
-    both built once per search."""
-    masks, size = keys.shape
-    # p once per mask: row S of keys sends p's cells to S's marginal
-    tiled = np.broadcast_to(p.reshape(1, size), keys.shape).ravel()
-    nu = np.bincount(keys.ravel(), weights=tiled, minlength=masks * size)
-    lognu = np.log(np.maximum(nu, 1e-300))
-    h = -(nu * lognu).reshape(masks, size).sum(axis=1)
-    # I = sum_{S != empty} w_S H(X_S) - H(X); the full mask's block of nu is p
-    value = float(w @ h - h[-1])
-    grad = 1.0 + lognu[keys[-1]] - w @ (1.0 + lognu[keys])
+def _intricacy_and_grad(p: np.ndarray, A, B, u, shift):
+    """I^c(p) in nats and its gradient off the (d+1)^N lattice cells:
+    nu = A P B^T, for p as a d^floor(N/2) x d^ceil(N/2) matrix P, holds every
+    subset marginal; I = sum u nu log nu, dI/dp = A^T (u log nu) B + shift.
+    Each product is an ``einsum`` (numpy's loops, not BLAS), so no bit
+    depends on the BLAS thread count."""
+    nu = np.einsum("ik,lk->il", np.einsum(
+        "ij,jk->ik", A, p.reshape(A.shape[1], B.shape[1])), B)
+    ulog = np.log(np.maximum(nu, 1e-300))
+    ulog *= u
+    value = float(np.einsum("ij,ij->", ulog, nu))
+    grad = np.einsum("jl,lk->jk", np.einsum("ij,il->jl", A, ulog), B) + shift
     return value, grad.reshape(p.shape)
 
 
@@ -255,13 +253,16 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
     iterations.  Each restart starts from a Dirichlet(1) draw on the
     splitmix64 stream of ``seed``: d^N Exp(1) draws -log(1 - u), normalized.
     The certificate ic_n(x_achieved) - I/(N log d) is nonnegative for every
-    restart by the deficit identity.  Raises ``ValueError`` unless
-    ``restarts >= 1``, ``iterations >= 0``, the entropy target (if any) is
-    in [0, 1] and the penalty weight is finite and >= 0.
+    restart by the deficit identity.  Raises ``LawValidationError`` for a bad
+    d or N, ``CapExceededError`` if (d+1)^N > ``SEARCH_CAP_CELLS``, and
+    ``ValueError`` unless ``restarts >= 1``, ``iterations >= 0``, the entropy
+    target (if any) is in [0, 1] and the penalty weight is finite and >= 0.
     """
-    if N > SEARCH_CAP_N or d > SEARCH_CAP_D:
+    _check_sizes(d, N)
+    if N > SEARCH_CAP_CELLS.bit_length() or (d + 1)**N > SEARCH_CAP_CELLS:
         raise CapExceededError(
-            f"dense search capped at N <= {SEARCH_CAP_N}, d <= {SEARCH_CAP_D}")
+            f"dense search over (d+1)^N = {d + 1}^{N} lattice cells is above "
+            f"SEARCH_CAP_CELLS = {SEARCH_CAP_CELLS}")
     if table.N != N:
         raise ValueError("table size mismatch")
     if restarts < 1 or iterations < 0:
@@ -273,8 +274,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
         raise ValueError(f"penalty weight {penalty_weight!r} is not a finite "
                          "number >= 0")
     rng = SplitMix64(seed)
-    keys = _subset_keys(d, N)
-    w = _subset_weights(table.c, N)
+    lattice = _search_lattice(d, N, table.c)
     shape = (d,) * N
     norm = N * math.log(d)
     best = None
@@ -284,7 +284,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
         p = np.maximum(p.reshape(shape) / p.sum(), 1e-12)
         p /= p.sum()
         for t in range(1, iterations + 1):
-            value, grad = _intricacy_and_grad(p, w, keys)
+            value, grad = _intricacy_and_grad(p, *lattice)
             if entropy_target is not None:
                 logp = np.log(np.maximum(p, 1e-300))
                 h_n = float(-(p * logp).sum()) / norm
@@ -294,7 +294,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
             p = p * np.exp(step * (grad - grad.max()))
             p /= p.sum()
         law = SystemLaw.dense(d, N, p.ravel())
-        value, _ = _intricacy_and_grad(p, w, keys)
+        value, _ = _intricacy_and_grad(p, *lattice)
         x_ach = min(max(entropy(law) / norm, 0.0), 1.0)
         cert = ic_n(x_ach, table) - value / norm
         results.append(RestartResult(value, value / norm, x_ach, cert))

@@ -114,8 +114,15 @@ class SystemLaw:
                 f"dense table must have d^N entries for d={d}, N={N}, "
                 f"got {table.size}")
         table = _normalized(table)
-        # nonzero cells in C order: lexicographic, coordinate 1 first
-        configs = np.argwhere(table.reshape((d,) * N)).astype(np.uint8)
+        # nonzero cells in C order: lexicographic, coordinate 1 first.  Their
+        # flat indices are decoded one uint8 column at a time, last
+        # coordinate first (the inverse of _scatter's Horner loop), so no
+        # (support, N) int64 array is made
+        idx = np.flatnonzero(table)
+        configs = np.empty((idx.size, N), dtype=np.uint8)
+        for i in reversed(range(N)):
+            configs[:, i] = idx % d
+            idx //= d
         return _support_law(d, N, "dense", configs, table[table > 0])
 
     @staticmethod

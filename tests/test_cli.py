@@ -92,6 +92,8 @@ SEED_OUT_OF_RANGE = [
      ["sweep", "--d", "2", "--x", "0.5", "--N", "6",
       "--seeds", f"{2**64 - 1}..{2**64}"]),
 ]
+# alphabet sizes outside 2..256, refused before the search does any work
+MAXIMIZE_BAD_D = ["-2", "0", "1", "257"]
 
 
 @pytest.mark.parametrize("law,argv", [
@@ -178,6 +180,8 @@ SEED_OUT_OF_RANGE = [
                                               {"config": [[1], [0]], "p": 0.5}]},
                  ["entropy"], id="nested-config"),
     *[pytest.param(None, argv, id=name) for name, argv in SEED_OUT_OF_RANGE],
+    *[pytest.param(None, ["maximize", "--d", d, "--N", "2", "--seed", "0"],
+                   id=f"maximize-d-{d}") for d in MAXIMIZE_BAD_D],
     pytest.param({"d": 2, "N": 1, "dense": [0.5, 0.5]},
                  ["profile", "--sampled", "--seed", "-1"],
                  id="profile-negative-seed"),
@@ -197,6 +201,8 @@ def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
     if argv[0] == "maximize" and argv[-2] in ("--x", "--penalty"):
         # the message names the rejected value
         assert argv[-1] in err
+    if argv[:2] == ["maximize", "--d"] and argv[2] in MAXIMIZE_BAD_D:
+        assert "alphabet size" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -548,6 +554,15 @@ def test_maximize_json(capsys, tmp_path):
 
 
 def test_maximize_cap_exit_3(capsys):
-    code, _, _ = run(capsys, "maximize", "--d", "2", "--N", "10",
-                     "--seed", "0")
+    code, _, err = run(capsys, "maximize", "--d", "2", "--N", "13",
+                       "--seed", "0")
     assert code == 3
+    assert "SEARCH_CAP_CELLS" in err and "3^13" in err
+
+
+@pytest.mark.parametrize("d,N", [("2", "12"), ("4", "3")])
+def test_maximize_runs_within_the_cell_cap(capsys, tmp_path, d, N):
+    code, _, _ = run(capsys, "maximize", "--d", d, "--N", N, "--seed", "0",
+                     "--restarts", "1", "--iterations", "2",
+                     "--out", str(tmp_path / "m.json"))
+    assert code == 0

@@ -1,20 +1,23 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intricacy import (CapExceededError, SplitMix64, SystemLaw,
-                       coefficient_table, convergence_sweep, deficit_report,
-                       diagonal_law, est_measure, ic_limit, ic_n, intricacy_defn,
-                       maximizer_search, p_symmetric_measure, parse_family,
-                       profile_convergence, sample_sparse_system,
-                       simultaneity_check, threshold_census, uniform_law,
-                       uniform_measure)
+from intricacy import (CapExceededError, LawValidationError, SplitMix64,
+                       SystemLaw, coefficient_table, convergence_sweep,
+                       deficit_report, diagonal_law, est_measure, ic_limit,
+                       ic_n, intricacy_defn, maximizer_search,
+                       p_symmetric_measure, parse_family, profile_convergence,
+                       sample_sparse_system, simultaneity_check,
+                       threshold_census, uniform_law, uniform_measure)
 from intricacy.construction import ConstructionSpec
-from intricacy.experiments import (CENSUS_CSV_HEADER, SWEEP_CSV_HEADER,
-                                   ExperimentRecord, _intricacy_and_grad,
-                                   _subset_keys, _subset_weights)
+from intricacy.experiments import (CENSUS_CSV_HEADER, SEARCH_CAP_CELLS,
+                                   SWEEP_CSV_HEADER, ExperimentRecord,
+                                   _intricacy_and_grad, _search_lattice)
 
 FAMILIES = [("est", est_measure()), ("uniform", uniform_measure()),
             ("p-sym:0.3", p_symmetric_measure(0.3))]
@@ -221,53 +224,94 @@ def test_maximizer_deterministic():
 def test_intricacy_and_grad_value_and_gradient(d, N):
     table = coefficient_table(est_measure(), N)
     p = np.random.default_rng(17 * d + N).dirichlet(np.ones(d**N))
-    keys, w = _subset_keys(d, N), _subset_weights(table.c, N)
-    value, grad = _intricacy_and_grad(p.reshape((d,) * N), w, keys)
+    lattice = _search_lattice(d, N, table.c)
+    value, grad = _intricacy_and_grad(p.reshape((d,) * N), *lattice)
     assert value == pytest.approx(
         intricacy_defn(SystemLaw.dense(d, N, p), table), abs=1e-12)
     h = 1e-6
     for x in range(d**N):
         e = np.zeros(d**N)
         e[x] = h
-        up, _ = _intricacy_and_grad((p + e).reshape((d,) * N), w, keys)
-        down, _ = _intricacy_and_grad((p - e).reshape((d,) * N), w, keys)
+        up, _ = _intricacy_and_grad((p + e).reshape((d,) * N), *lattice)
+        down, _ = _intricacy_and_grad((p - e).reshape((d,) * N), *lattice)
         assert grad.ravel()[x] == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
 
-def _intricacy_and_grad_per_call(p, c, keys):
-    """The search objective with its weights and tiled masses built on
-    every call: the reference the hoisted form must match bit for bit."""
-    masks, size = keys.shape
-    w = 2.0 * c[np.bitwise_count(np.arange(masks, dtype=np.uint32))]
-    w[0] = 0.0
-    nu = np.bincount(keys.ravel(), weights=np.tile(p.ravel(), masks),
-                     minlength=masks * size)
-    lognu = np.log(np.maximum(nu, 1e-300))
-    h = -(nu * lognu).reshape(masks, size).sum(axis=1)
-    value = float(w @ h - h[-1])
-    grad = 1.0 + lognu[keys[-1]] - w @ (1.0 + lognu[keys])
-    return value, grad.reshape(p.shape)
+def _naive_gradient(p: dict, N: int, c) -> dict:
+    """dI/dp(x) = (1 + log p(x)) - sum_{S != empty} 2 c_|S| (1 + log nu_S(x_S)),
+    with every marginal nu_S a dict of projected configurations."""
+    grad = {x: 1.0 + math.log(px) for x, px in p.items()}
+    for k in range(1, N + 1):
+        for S in itertools.combinations(range(N), k):
+            nu = {}
+            for x, px in p.items():
+                xs = tuple(x[i] for i in S)
+                nu[xs] = nu.get(xs, 0.0) + px
+            for x in p:
+                xs = tuple(x[i] for i in S)
+                grad[x] -= 2.0 * c[k] * (1.0 + math.log(nu[xs]))
+    return grad
 
 
-@pytest.mark.parametrize("d,N", [(2, 1), (2, 6), (3, 4)])
-@pytest.mark.parametrize("family", ["est", "uniform", "p-sym:0.3"])
-def test_intricacy_and_grad_matches_per_call_weights_bitwise(d, N, family):
+@given(d=st.integers(2, 4), N=st.integers(1, 5),
+       family=st.sampled_from(["est", "uniform", "p-sym:0.3"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_intricacy_and_grad_match_the_definition_and_dict_marginals(
+        d, N, family, seed):
     table = coefficient_table(parse_family(family), N)
-    keys, w = _subset_keys(d, N), _subset_weights(table.c, N)
-    gen = np.random.default_rng(d * 100 + N)
-    for _ in range(3):
-        p = gen.dirichlet(np.ones(d**N)).reshape((d,) * N)
-        value, grad = _intricacy_and_grad(p, w, keys)
-        want_value, want_grad = _intricacy_and_grad_per_call(p, table.c, keys)
-        assert value == want_value
-        assert np.array_equal(grad, want_grad)
+    p = np.random.default_rng(seed).dirichlet(np.ones(d**N))
+    p = np.maximum(p, 1e-12)
+    p /= p.sum()
+    value, grad = _intricacy_and_grad(p.reshape((d,) * N),
+                                      *_search_lattice(d, N, table.c))
+    assert value == pytest.approx(
+        intricacy_defn(SystemLaw.dense(d, N, p), table), abs=1e-12)
+    configs = itertools.product(range(d), repeat=N)
+    want = _naive_gradient(dict(zip(configs, p.tolist())), N, table.c)
+    assert np.allclose(grad.ravel(), list(want.values()), rtol=0.0, atol=1e-12)
 
 
 def test_maximizer_caps():
-    with pytest.raises(CapExceededError):
-        maximizer_search(2, 7, coefficient_table(est_measure(), 7))
+    assert SEARCH_CAP_CELLS == 3**12
+    for d, N in [(2, 13), (3, 10), (4, 9)]:
+        with pytest.raises(CapExceededError, match="SEARCH_CAP_CELLS"):
+            maximizer_search(d, N, coefficient_table(est_measure(), N))
+    # refused on N alone, before 3^(10^9) or the table is looked at
+    with pytest.raises(CapExceededError, match="SEARCH_CAP_CELLS"):
+        maximizer_search(2, 10**9, coefficient_table(est_measure(), 2))
     with pytest.raises(ValueError):
         maximizer_search(2, 2, coefficient_table(est_measure(), 3))
+
+
+@pytest.mark.parametrize("d,N", [(4, 3), (2, 12), (3, 9), (4, 8), (256, 2)])
+def test_maximizer_runs_up_to_the_cell_cap(d, N):
+    res = maximizer_search(d, N, coefficient_table(est_measure(), N),
+                           restarts=1, iterations=1, seed=2)
+    assert res.law.d == d and res.law.N == N
+    assert res.certificate >= -1e-9
+
+
+@pytest.mark.parametrize("d", [-2, 0, 1, 257])
+def test_maximizer_checks_sizes_first(d):
+    # before the cap, the other arguments and any restart
+    with pytest.raises(LawValidationError, match="alphabet size"):
+        maximizer_search(d, 2, coefficient_table(est_measure(), 2),
+                         restarts=0)
+
+
+def test_maximizer_memory_is_a_few_lattices():
+    import tracemalloc
+    table = coefficient_table(est_measure(), 12)
+    tracemalloc.start()
+    try:
+        maximizer_search(2, 12, table, restarts=1, iterations=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the weights, nu and u log nu on the 3^12 cells; a 2^12 x 2^12 index
+    # matrix of every subset's keys would be 128 MB
+    assert peak <= 8 * 8 * 3**12
 
 
 @pytest.mark.parametrize("restarts,iterations", [(0, 10), (-1, 10), (1, -1)])

@@ -1262,3 +1262,33 @@ def test_dense_index_order_coordinate_one_most_significant():
     # mass on configuration (1,0) must sit at flat index 1*2 + 0 = 2
     law = SystemLaw.dense(2, 2, [0.0, 0.0, 1.0, 0.0])
     assert np.array_equal(law.configs, [[1, 0]])
+
+
+@pytest.mark.parametrize("d,N,zero_share", [
+    (2, 0, 0.0), (2, 1, 0.5), (2, 9, 0.3), (3, 6, 0.5), (5, 4, 0.9),
+    (256, 2, 0.7)])
+def test_dense_support_matches_argwhere(d, N, zero_share):
+    gen = np.random.default_rng(d * 10 + N)
+    table = gen.dirichlet(np.ones(d**N))
+    table[gen.random(d**N) < zero_share] = 0.0
+    table[gen.integers(d**N)] = 1.0  # at least one nonzero cell
+    table /= table.sum()
+    law = SystemLaw.dense(d, N, table)
+    want = np.argwhere(table.reshape((d,) * N)).astype(np.uint8)
+    assert law.configs.dtype == np.uint8
+    assert np.array_equal(law.configs, want)
+    assert np.array_equal(law.probs, table[table > 0])
+
+
+def test_dense_law_memory_has_no_int64_configs():
+    import tracemalloc
+    d, N = 2, 16
+    table = np.random.default_rng(16).dirichlet(np.ones(d**N))
+    tracemalloc.start()
+    try:
+        SystemLaw.dense(d, N, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # np.argwhere's (d^N, N) int64 array alone would be N = 16 floats a cell
+    assert peak <= 8 * 12 * d**N

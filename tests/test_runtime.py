@@ -59,19 +59,24 @@ def test_runs_without_scipy():
 THREAD_PROBE = """
 from intricacy import (ConstructionSpec, coefficient_table, est_measure,
                        expected_subset_entropy, intricacy_defn,
-                       sample_sparse_system)
+                       maximizer_search, sample_sparse_system)
 
 law = sample_sparse_system(ConstructionSpec(2, 16, 8, seed=0))
 print(repr(intricacy_defn(law, coefficient_table(est_measure(), 16))))
 for k in range(23):
     print(repr(expected_subset_entropy(2, 22, 16, k)))
+search = maximizer_search(2, 10, coefficient_table(est_measure(), 10),
+                          restarts=1, iterations=20, seed=5)
+print(repr(search.intricacy))
+print(repr(search.law.probs.tolist()))
 """
 
 
 def test_numbers_do_not_depend_on_blas_threads():
     # OpenBLAS splits a dot over more than 10^4 terms across its threads,
-    # so a BLAS dot over 2^16 terms moves in the last bits with the count
+    # so a BLAS dot over 2^16 terms, or a BLAS product of the search's
+    # 3^5 x 2^5 lattice factors, moves in the last bits with the count
     one = run_python(THREAD_PROBE, OPENBLAS_NUM_THREADS="1")
     two = run_python(THREAD_PROBE, OPENBLAS_NUM_THREADS="2")
-    assert one.count("\n") == 24
+    assert one.count("\n") == 26
     assert one == two

@@ -237,6 +237,49 @@ def test_intricacy_and_grad_value_and_gradient(d, N):
         assert grad.ravel()[x] == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
 
+def _intricacy_and_grad_per_call(p, c):
+    """The search objective with its lattice factors, cell weights and shift
+    built on every call, cell by cell from the base-(d+1) digits: the
+    reference the hoisted form must match bit for bit."""
+    d, N = p.shape[0], p.ndim
+    u = -2.0 * c
+    u[0] = 0.0
+    u[N] += 1.0
+
+    def factor(n):
+        cells = list(itertools.product(range(d + 1), repeat=n))
+        configs = list(itertools.product(range(d), repeat=n))
+        F = np.array([[float(all(a in (d, x) for a, x in zip(cell, config)))
+                       for config in configs] for cell in cells])
+        return F, [sum(a != d for a in cell) for cell in cells]
+
+    A, ka = factor(N // 2)
+    B, kb = factor(N - N // 2)
+    w = np.array([[u[i + j] for j in kb] for i in ka])
+    shift = sum(math.comb(N, k) * u[k] for k in range(N + 1))
+    nu = np.einsum("ik,lk->il", np.einsum(
+        "ij,jk->ik", A, p.reshape(A.shape[1], B.shape[1])), B)
+    ulog = np.log(np.maximum(nu, 1e-300))
+    ulog *= w
+    value = float(np.einsum("ij,ij->", ulog, nu))
+    grad = np.einsum("jl,lk->jk", np.einsum("ij,il->jl", A, ulog), B) + shift
+    return value, grad.reshape(p.shape)
+
+
+@pytest.mark.parametrize("d,N", [(2, 1), (2, 6), (3, 4)])
+@pytest.mark.parametrize("family", ["est", "uniform", "p-sym:0.3"])
+def test_intricacy_and_grad_matches_per_call_weights_bitwise(d, N, family):
+    table = coefficient_table(parse_family(family), N)
+    lattice = _search_lattice(d, N, table.c)
+    gen = np.random.default_rng(d * 100 + N)
+    for _ in range(3):
+        p = gen.dirichlet(np.ones(d**N)).reshape((d,) * N)
+        value, grad = _intricacy_and_grad(p, *lattice)
+        want_value, want_grad = _intricacy_and_grad_per_call(p, table.c)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
+
+
 def _naive_gradient(p: dict, N: int, c) -> dict:
     """dI/dp(x) = (1 + log p(x)) - sum_{S != empty} 2 c_|S| (1 + log nu_S(x_S)),
     with every marginal nu_S a dict of projected configurations."""

@@ -17,11 +17,10 @@ import sys
 from . import experiments
 from .coefficients import (CoefficientTable, coefficient_table, dn_law,
                            parse_family, validate_coefficients)
-from .construction import (ConstructionSpec, DEFAULT_SUPPORT_CAP,
-                           m_from_target, sample_sparse_system)
-from .laws import (CapExceededError, DEFAULT_SUBSET_CAP, LawValidationError,
-                   SystemLaw, entropy, entropy_profile_exact,
-                   entropy_profile_sampled)
+from .construction import (ConstructionSpec, m_from_target,
+                           sample_sparse_system)
+from .laws import (CapExceededError, LawValidationError, SystemLaw, entropy,
+                   entropy_profile_exact, entropy_profile_sampled)
 from .profiles import deficit_report
 
 EXIT_VALIDATION = 2
@@ -60,7 +59,7 @@ def cmd_profile(args) -> int:
         samples = SAMPLES_PER_SIZE if args.samples is None else args.samples
         prof = entropy_profile_sampled(law, sizes, samples, args.seed)
     else:
-        prof = entropy_profile_exact(law, cap=args.cap_subsets)
+        prof = entropy_profile_exact(law)
     with _out_stream(args) as out:
         if args.format == "json":
             payload = {"N": prof.N, "values": prof.values.tolist()}
@@ -78,7 +77,7 @@ def cmd_profile(args) -> int:
 
 def cmd_intricacy(args) -> int:
     law = _load_law(args.law)
-    profile = entropy_profile_exact(law, cap=args.cap_subsets)
+    profile = entropy_profile_exact(law)
     reports = [deficit_report(law, coefficient_table(measure, law.N),
                               family=name, profile=profile)
                for name, measure in _families(args.families)]
@@ -123,7 +122,7 @@ def _spec_from_args(args) -> ConstructionSpec:
 
 def cmd_construct(args) -> int:
     spec = _spec_from_args(args)
-    law = sample_sparse_system(spec, cap=args.cap_support)
+    law = sample_sparse_system(spec)
     x_n = entropy(law) / (law.N * math.log(law.d))
     with _out_stream(args) as out:
         out.write(law.to_json() + "\n")
@@ -136,8 +135,7 @@ def cmd_sweep(args) -> int:
     families = _families(args.families)
     N_list = _parse_range(args.N)
     records = experiments.convergence_sweep(
-        families, args.d, args.x, N_list, args.seeds,
-        subset_cap=args.cap_subsets)
+        families, args.d, args.x, N_list, args.seeds)
     with _out_stream(args) as out:
         out.write(experiments.SWEEP_CSV_HEADER + "\n")
         for r in records:
@@ -154,7 +152,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_census(args) -> int:
     spec = _spec_from_args(args)
-    law = sample_sparse_system(spec, cap=args.cap_support)
+    law = sample_sparse_system(spec)
     x = args.x if args.x is not None else spec.M / spec.N
     report = experiments.threshold_census(
         law, x, args.y, args.epsilon, args.samples, args.census_seed)
@@ -220,18 +218,6 @@ def _seeds(text: str) -> list[int]:
     return [_seed(str(seed)) for seed in _parse_range(text)]
 
 
-def _cap(text: str) -> int:
-    """A cap flag's value: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"a cap must be an integer >= 0, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="intricacy",
@@ -250,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         size.add_argument("--M", type=int)
         size.add_argument("--x", type=float)
         p.add_argument("--seed", type=_seed, required=True)
-        p.add_argument("--cap-support", type=_cap, default=DEFAULT_SUPPORT_CAP)
 
     p = sub.add_parser("entropy", help="entropy of a law file")
     p.add_argument("law")
@@ -265,14 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed,
                    help="with --sampled: the mask stream's seed")
     output(p)
-    p.add_argument("--cap-subsets", type=_cap, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("intricacy", help="deficit report per family")
     p.add_argument("law")
     p.add_argument("--families", default="est")
     output(p)
-    p.add_argument("--cap-subsets", type=_cap, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_intricacy)
 
     p = sub.add_parser("coeffs", help="coefficient table of a family")
@@ -293,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", required=True, help="e.g. 8..16 or 8,12,16")
     p.add_argument("--seeds", type=_seeds, required=True, help="e.g. 0..19")
     output(p, fmt=False)
-    p.add_argument("--cap-subsets", type=_cap, default=DEFAULT_SUBSET_CAP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("census", help="threshold census on a construction")

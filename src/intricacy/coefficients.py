@@ -15,6 +15,8 @@ from functools import lru_cache
 import numpy as np
 
 MEASURE_TOL = 1e-12
+# How near an atom x must lie to be in a measure's support.
+ATOM_TOL = 1e-9
 
 
 class MeasureValidationError(ValueError):
@@ -49,15 +51,15 @@ class MixingMeasure:
                 raise MeasureValidationError(
                     f"measure not symmetric: atom at {w!r} has no mirror")
 
-    def mass_at(self, w: float, tol: float = MEASURE_TOL) -> float:
-        return sum(m for loc, m in self.atoms if abs(loc - w) <= tol)
+    def mass_at(self, w: float) -> float:
+        return sum(m for loc, m in self.atoms if abs(loc - w) <= MEASURE_TOL)
 
-    def supports(self, x: float, tol: float = 1e-9) -> bool:
-        """Literal support membership: any atom at x, or anywhere in [0,1]
-        when the uniform component is present."""
+    def supports(self, x: float) -> bool:
+        """Literal support membership: any atom within ``ATOM_TOL`` of x, or
+        anywhere in [0,1] when the uniform component is present."""
         if self.lebesgue_mass > 0.0 and 0.0 <= x <= 1.0:
             return True
-        return any(abs(loc - x) <= tol for loc, _ in self.atoms)
+        return any(abs(loc - x) <= ATOM_TOL for loc, _ in self.atoms)
 
 
 def est_measure() -> MixingMeasure:
@@ -171,11 +173,12 @@ class ValidationReport:
         return all(checks)
 
 
-def validate_coefficients(table: CoefficientTable,
-                          predecessor: CoefficientTable | None = None,
-                          tol: float = MEASURE_TOL) -> ValidationReport:
+def validate_coefficients(
+        table: CoefficientTable,
+        predecessor: CoefficientTable | None = None) -> ValidationReport:
     """Check c_k >= 0, c_k = c_{N-k}, sum C(N,k) c_k = 1, and (optionally)
-    Pascal consistency c^{N-1}_k = c^N_k + c^N_{k+1}.  Reports, never raises.
+    Pascal consistency c^{N-1}_k = c^N_k + c^N_{k+1}, each within
+    ``MEASURE_TOL``.  Reports, never raises.
     """
     c = table.c
     nonneg = bool(np.all(c >= 0))
@@ -189,11 +192,11 @@ def validate_coefficients(table: CoefficientTable,
             pascal_err = float("nan")
         else:
             pascal_err = float(np.max(np.abs(predecessor.c - (c[:-1] + c[1:]))))
-            pascal = pascal_err <= tol
+            pascal = pascal_err <= MEASURE_TOL
     return ValidationReport(
         nonnegative=nonneg,
-        symmetric=sym_err <= tol,
-        unit_mass=abs(mass - 1.0) <= tol,
+        symmetric=sym_err <= MEASURE_TOL,
+        unit_mass=abs(mass - 1.0) <= MEASURE_TOL,
         pascal=pascal,
         details={"symmetry_error": sym_err, "mass": mass,
                  "pascal_error": pascal_err},

@@ -22,7 +22,8 @@ from .laws import (MAX_D, CapExceededError, EntropyProfile, SystemLaw,
 from .profiles import g_functional
 from .rng import SplitMix64
 
-DEFAULT_SUPPORT_CAP = 1 << 20
+# Most configurations (d^M) one construction may draw.
+SUPPORT_CAP = 1 << 20
 EXACT_SUM_CAP = 10**6
 
 
@@ -51,8 +52,7 @@ def m_from_target(x: float, N: int) -> int:
     return int(math.floor(x * N))
 
 
-def sample_sparse_system(spec: ConstructionSpec, *,
-                         cap: int = DEFAULT_SUPPORT_CAP) -> SystemLaw:
+def sample_sparse_system(spec: ConstructionSpec) -> SystemLaw:
     """Empirical measure of d^M i.i.d. uniform configurations.
 
     Each configuration is drawn coordinate by coordinate (coordinate 1
@@ -60,13 +60,15 @@ def sample_sparse_system(spec: ConstructionSpec, *,
     byte-exact function of the spec.  The d^M * N symbols come from one
     :meth:`SplitMix64.randbelow_array` call, which computes the stream in
     numpy blocks and equals scalar ``randbelow(d)`` calls value for value.
-    Each distinct drawn row gets mass (number of draws) / d^M.
+    Each distinct drawn row gets mass (number of draws) / d^M.  Raises
+    :class:`CapExceededError` when d^M > ``SUPPORT_CAP``.
     """
     d, N, M = spec.d, spec.N, spec.M
-    draws = d**M
-    if draws > cap:
+    # d >= 2: refused on M before d**M, which grows without bound, is formed
+    if M >= SUPPORT_CAP.bit_length() or d**M > SUPPORT_CAP:
         raise CapExceededError(
-            f"d^M = {draws} exceeds the support cap {cap}")
+            f"d^M = {d}^{M} draws is above SUPPORT_CAP = {SUPPORT_CAP}")
+    draws = d**M
     rows = SplitMix64(spec.seed).randbelow_array(d, draws * N)
     rows = rows.astype(np.uint8, copy=False).reshape(draws, N)
     configs, counts = _group_rows(rows, np.ones(draws))

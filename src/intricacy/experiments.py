@@ -17,9 +17,9 @@ import numpy as np
 from .coefficients import CoefficientTable, coefficient_table
 from .construction import (ConstructionSpec, m_from_target,
                            sample_sparse_system)
-from .laws import (DEFAULT_SUBSET_CAP, CapExceededError, EntropyProfile,
-                   SystemLaw, _check_sizes, entropy, entropy_profile_exact,
-                   size_k_masks, subset_entropies)
+from .laws import (CapExceededError, EntropyProfile, SystemLaw, _check_sizes,
+                   entropy, entropy_profile_exact, size_k_masks,
+                   subset_entropies)
 from .profiles import deficit_report, ic_limit, ic_n, ideal_profile
 from .rng import SplitMix64
 
@@ -79,7 +79,6 @@ def _record_for(law: SystemLaw, profile: EntropyProfile, family: str,
 
 
 def convergence_sweep(families, d: int, x: float, N_list, seeds, *,
-                      subset_cap: int = DEFAULT_SUBSET_CAP,
                       keep_profiles: bool = False):
     """One sampled system per (N, seed) with M = floor(x*N); every family is
     evaluated on the same law.  Returns records sorted by (family, N, seed);
@@ -97,7 +96,7 @@ def convergence_sweep(families, d: int, x: float, N_list, seeds, *,
         for seed in seeds:
             spec = ConstructionSpec(d, N, M, seed)
             law = sample_sparse_system(spec)
-            profile = entropy_profile_exact(law, cap=subset_cap)
+            profile = entropy_profile_exact(law)
             if keep_profiles:
                 profiles[(N, seed)] = profile
             for name, _ in families:

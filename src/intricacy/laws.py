@@ -24,7 +24,10 @@ from .rng import SplitMix64
 MASS_TOL = 1e-9
 # Rounding error of numpy's pairwise sum over a normalized table, with room.
 SUM_ROUNDING = 64 * np.finfo(float).eps
-DEFAULT_SUBSET_CAP = 22
+# Largest N whose 2^N subset entropies are computed exhaustively (32 MB).
+SUBSET_CAP = 22
+# Slack of EntropyProfile.validate's membership checks.
+PROFILE_TOL = 1e-9
 # Below every positive float: log(max(p, _SMALLEST)) is log p for p > 0.
 _SMALLEST = np.finfo(float).smallest_subnormal
 # Symbols are stored as uint8.
@@ -184,7 +187,14 @@ class SystemLaw:
         summation order).  Built on first use and held for the law's
         lifetime (2^N floats: 32 KB at N=12, 32 MB at N=22).  A law
         and its arrays are frozen, and ``replace``, :func:`marginal` and the
-        transforms build new laws, so the array cannot go stale."""
+        transforms build new laws, so the array cannot go stale.  Raises
+        :class:`CapExceededError`, and caches nothing, when N >
+        ``SUBSET_CAP``."""
+        if self.N > SUBSET_CAP:
+            raise CapExceededError(
+                f"N={self.N} is above SUBSET_CAP = {SUBSET_CAP}; use "
+                "profile --sampled or entropy_profile_sampled for larger "
+                "systems")
         if (self.d + 1) ** self.N <= (1 << self.N) * self.support_size:
             H = _lattice_entropies(self)
         else:
@@ -704,7 +714,8 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     masks = np.asarray(masks, dtype=object)
     flat = masks.ravel()
     for mask in flat:
-        if not isinstance(mask, (int, np.integer)):
+        # a bool is an int, but a membership flag, not a mask
+        if isinstance(mask, bool) or not isinstance(mask, (int, np.integer)):
             raise TypeError(f"mask {mask!r} is not an integer")
     if np.any((flat < 0) | (flat > full_mask(law.N))):
         raise IndexError(f"a mask references coordinates >= N={law.N}")
@@ -783,8 +794,7 @@ def _lattice_entropies(law: SystemLaw) -> np.ndarray:
     return out
 
 
-def all_subset_entropies(law: SystemLaw, *,
-                         cap: int = DEFAULT_SUBSET_CAP) -> np.ndarray:
+def all_subset_entropies(law: SystemLaw) -> np.ndarray:
     """H(X_S) for every mask S in {0,...,2^N - 1}, indexed by mask.
 
     Two algorithms, chosen by their cost on this law:
@@ -810,9 +820,9 @@ def all_subset_entropies(law: SystemLaw, *,
     The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
     high-support laws; the sort path otherwise, e.g. for the sparse
     constructions with support d^M << d^N.  On both paths the empty set
-    has entropy exactly 0.  Raises :class:`CapExceededError` above the cap
-    (checked on every call); use :func:`entropy_profile_sampled` for larger
-    systems.
+    has entropy exactly 0.  Raises :class:`CapExceededError` when N >
+    ``SUBSET_CAP`` (checked by ``SystemLaw._entropies`` before either path
+    runs); use :func:`entropy_profile_sampled` for larger systems.
 
     The kernel runs once per law: its output is cached on the law
     (``SystemLaw._entropies``), and every call, and so every exact route
@@ -820,10 +830,6 @@ def all_subset_entropies(law: SystemLaw, *,
     returns that same read-only array, not a copy.  The law holds it for
     its lifetime: 2^N floats, 32 KB at N=12, 8 MB at N=20, 32 MB at N=22.
     """
-    if law.N > cap:
-        raise CapExceededError(
-            f"N={law.N} exceeds the exhaustive subset cap {cap}; "
-            "use entropy_profile_sampled for larger systems")
     return law._entropies
 
 
@@ -834,15 +840,15 @@ def size_k_masks(N: int, k: int, rng: SplitMix64 | None,
                  count: int) -> list[int]:
     """Every size-k mask of N coordinates, in ``itertools.combinations``
     order, when ``rng`` is None; otherwise ``count`` uniform size-k masks
-    drawn from ``rng``.  Enumerating more than 2^DEFAULT_SUBSET_CAP masks,
+    drawn from ``rng``.  Enumerating more than 2^SUBSET_CAP masks,
     the count :func:`all_subset_entropies` allows, raises
     :class:`CapExceededError`."""
     if rng is None:
         total = math.comb(N, k)
-        if total > 1 << DEFAULT_SUBSET_CAP:
+        if total > 1 << SUBSET_CAP:
             raise CapExceededError(
-                f"C({N},{k}) = {total} size-{k} masks exceed the exhaustive "
-                f"cap of 2^{DEFAULT_SUBSET_CAP}; sample them instead")
+                f"C({N},{k}) = {total} size-{k} masks exceed 2^SUBSET_CAP = "
+                f"2^{SUBSET_CAP}; sample them instead")
         return [indices_to_mask(c) for c in combinations(range(N), k)]
     return [rng.sample_subset_mask(N, k) for _ in range(count)]
 
@@ -862,27 +868,30 @@ class EntropyProfile:
         if self.values.size != self.N + 1:
             raise ValueError("profile needs N+1 values")
 
-    def validate(self, tol: float = 1e-9) -> None:
-        """Check membership in Gamma: h(0)=0, nondecreasing, increments
-        at most 1/N."""
+    def validate(self) -> None:
+        """Check membership in Gamma, within ``PROFILE_TOL``: h(0)=0,
+        nondecreasing, increments at most 1/N."""
         v = self.values
-        if abs(v[0]) > tol:
+        if abs(v[0]) > PROFILE_TOL:
             raise ValueError("profile must start at 0")
         inc = np.diff(v)
-        if np.any(inc < -tol) or np.any(inc > 1.0 / self.N + tol):
+        # N = 0 has no increments, and no 1/N
+        if inc.size and (np.any(inc < -PROFILE_TOL) or
+                         np.any(inc > 1.0 / self.N + PROFILE_TOL)):
             raise ValueError("profile increments outside [0, 1/N]")
 
 
-def entropy_profile_exact(law: SystemLaw, *,
-                          cap: int = DEFAULT_SUBSET_CAP) -> EntropyProfile:
+def entropy_profile_exact(law: SystemLaw) -> EntropyProfile:
     """Exact entropy profile: h(k/N) is the average of H(X_S)/(N log d)
-    over all C(N,k) subsets of size k."""
+    over all C(N,k) subsets of size k; h(0) = 0 exactly, also at N = 0."""
     N = law.N
-    H = all_subset_entropies(law, cap=cap)
+    H = all_subset_entropies(law)
     k = np.bitwise_count(np.arange(1 << N, dtype=np.uint32)).astype(np.intp)
     sums = np.bincount(k, weights=H, minlength=N + 1)
     counts = np.array([math.comb(N, j) for j in range(N + 1)], dtype=float)
-    return EntropyProfile(N, sums / counts / (N * math.log(law.d)))
+    values = sums / counts
+    values[1:] /= N * math.log(law.d)   # h(0) = 0 without 0 / (0 log d)
+    return EntropyProfile(N, values)
 
 
 def entropy_profile_sampled(law: SystemLaw, sizes, samples_per_size: int,

@@ -14,16 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientTable, MixingMeasure, binomials
-from .laws import (DEFAULT_SUBSET_CAP, EntropyProfile, SystemLaw,
-                   all_subset_entropies, entropy_profile_exact)
+from .laws import (EntropyProfile, SystemLaw, all_subset_entropies,
+                   entropy_profile_exact)
 
 
-def intricacy_defn(law: SystemLaw, table: CoefficientTable, *,
-                   cap: int = DEFAULT_SUBSET_CAP) -> float:
+def intricacy_defn(law: SystemLaw, table: CoefficientTable) -> float:
     """I^c(X) = sum over all subsets S of c^N_{|S|} MI(X_S, X_{S^c}), nats."""
     if table.N != law.N:
         raise ValueError(f"table size {table.N} != law size {law.N}")
-    H = all_subset_entropies(law, cap=cap)
+    H = all_subset_entropies(law)
     mi = H + H[::-1] - H[-1]
     k = np.bitwise_count(np.arange(H.size, dtype=np.uint32)).astype(np.intp)
     # a pairwise sum: BLAS dots over 2^N terms split by thread count
@@ -110,7 +109,7 @@ class DeficitReport:
 
 
 def deficit_report(law: SystemLaw, table: CoefficientTable, *,
-                   family: str = "", cap: int = DEFAULT_SUBSET_CAP,
+                   family: str = "",
                    profile: EntropyProfile | None = None) -> DeficitReport:
     """Evaluate the deficit identity for one law and one coefficient table.
 
@@ -121,7 +120,7 @@ def deficit_report(law: SystemLaw, table: CoefficientTable, *,
     cached entropies by subset size again.
     """
     if profile is None:
-        profile = entropy_profile_exact(law, cap=cap)
+        profile = entropy_profile_exact(law)
     x = min(max(float(profile.values[-1]), 0.0), 1.0)
     icn = ic_n(x, table)
     deficit = 2.0 * profile_norm(profile, ideal_profile(x, law.N), table)

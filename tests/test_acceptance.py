@@ -21,6 +21,7 @@ from intricacy import (CoefficientTable, coefficient_table, convergence_sweep,
                        relabel_symbols, sample_sparse_system,
                        threshold_census, uniform_measure,
                        validate_coefficients)
+from intricacy.coefficients import MEASURE_TOL
 from intricacy.construction import ConstructionSpec
 from conftest import random_dense_law
 
@@ -235,12 +236,12 @@ def test_criterion_10_invariance():
 
 
 def test_criterion_11_coefficient_validation():
-    ok = True
+    ok = MEASURE_TOL <= 1e-12            # the tolerance the report names
     for name, measure in FAMILIES:
         prev: CoefficientTable | None = None
         for N in range(1, 65):
             table = coefficient_table(measure, N)
-            rep = validate_coefficients(table, predecessor=prev, tol=1e-12)
+            rep = validate_coefficients(table, predecessor=prev)
             if not rep.all_passed:
                 ok = False
             prev = table

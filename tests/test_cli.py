@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -5,8 +6,9 @@ import math
 import pytest
 
 from intricacy import (ConstructionSpec, SystemLaw, diagonal_law, entropy,
-                       product_law, sample_sparse_system, uniform_law)
-from intricacy.cli import main
+                       point_mass, product_law, sample_sparse_system,
+                       uniform_law)
+from intricacy.cli import build_parser, main
 from intricacy.experiments import CENSUS_CSV_HEADER, SWEEP_CSV_HEADER
 
 
@@ -14,6 +16,14 @@ from intricacy.experiments import CENSUS_CSV_HEADER, SWEEP_CSV_HEADER
 def diagonal_file(tmp_path):
     path = tmp_path / "diag.json"
     path.write_text(diagonal_law(2, 2).to_json())
+    return str(path)
+
+
+@pytest.fixture()
+def over_cap_file(tmp_path):
+    """A point mass at N = 23, one coordinate above SUBSET_CAP."""
+    path = tmp_path / "big.json"
+    path.write_text(point_mass(2, 23, [0] * 23).to_json())
     return str(path)
 
 
@@ -151,15 +161,6 @@ MAXIMIZE_BAD_D = ["-2", "0", "1", "257"]
     pytest.param(None, ["maximize", "--d", "2", "--N", "2", "--seed", "0",
                         "--x", "0.5", "--penalty", "inf"],
                  id="maximize-infinite-penalty"),
-    pytest.param(None, ["construct", "--d", "2", "--N", "4", "--M", "2",
-                        "--seed", "1", "--cap-support", "-1"],
-                 id="construct-negative-cap-support"),
-    pytest.param(None, ["sweep", "--d", "2", "--x", "0.5", "--N", "6",
-                        "--seeds", "0", "--cap-subsets", "-1"],
-                 id="sweep-negative-cap-subsets"),
-    pytest.param({"d": 2, "N": 1, "dense": [0.5, 0.5]},
-                 ["profile", "--cap-subsets", "-1"],
-                 id="profile-negative-cap-subsets"),
     pytest.param({"d": 2, "N": 2, "support": [{"config": [True, False],
                                                "p": 1.0}]},
                  ["entropy"], id="boolean-symbols"),
@@ -213,6 +214,14 @@ def test_malformed_input_exits_2(capsys, tmp_path, law, argv):
     ["profile", "LAW", "--cap-support", "4"],
     ["intricacy", "LAW", "--sampled"],
     ["coeffs", "--family", "est", "--N", "2", "--cap-subsets", "4"],
+    # the caps are constants: SUBSET_CAP, SUPPORT_CAP
+    ["profile", "LAW", "--cap-subsets", "4"],
+    ["intricacy", "LAW", "--cap-subsets", "4"],
+    ["sweep", "--d", "2", "--x", "0.5", "--N", "6", "--seeds", "0",
+     "--cap-subsets", "4"],
+    ["construct", "--d", "2", "--N", "4", "--M", "2", "--seed", "1",
+     "--cap-support", "4"],
+    [*CENSUS, "--seed", "1", "--census-seed", "2", "--cap-support", "4"],
     ["sweep", "--d", "2", "--x", "0.5", "--N", "6", "--seeds", "0",
      "--format", "json"],
     ["maximize", "--d", "2", "--N", "2", "--seed", "0", "--format", "json"],
@@ -222,6 +231,59 @@ def test_unread_flags_are_gone(capsys, diagonal_file, argv):
     code, err = exit_code(capsys, argv)
     assert code == 2
     assert "unrecognized arguments" in err
+
+
+# one valid invocation per subcommand and mode, each optional flag set to a
+# value other than its default
+EVERY_MODE = [
+    ["entropy", "LAW"],
+    ["profile", "LAW", "--format", "json", "--out", "OUT"],
+    ["profile", "LAW", "--sampled", "--seed", "1", "--samples", "5",
+     "--format", "json", "--out", "OUT"],
+    ["intricacy", "LAW", "--families", "est,uniform", "--format", "json",
+     "--out", "OUT"],
+    ["coeffs", "--family", "uniform", "--N", "3", "--format", "json",
+     "--out", "OUT"],
+    ["construct", "--d", "3", "--N", "4", "--M", "2", "--seed", "1",
+     "--out", "OUT"],
+    ["construct", "--d", "2", "--N", "6", "--x", "0.5", "--seed", "1",
+     "--out", "OUT"],
+    ["sweep", "--families", "est,uniform", "--d", "2", "--x", "0.5",
+     "--N", "4,5", "--seeds", "0..1", "--out", "OUT"],
+    ["census", "--family", "uniform", "--d", "2", "--N", "6", "--M", "3",
+     "--seed", "1", "--census-seed", "2", "--y", "0.5", "--epsilon", "0.1",
+     "--samples", "20", "--out", "OUT"],
+    ["census", "--d", "2", "--N", "6", "--x", "0.5", "--seed", "1",
+     "--census-seed", "2", "--y", "0.5", "--epsilon", "0.1", "--out", "OUT"],
+    ["maximize", "--family", "uniform", "--d", "2", "--N", "2",
+     "--restarts", "2", "--iterations", "3", "--seed", "1", "--out", "OUT"],
+    ["maximize", "--d", "2", "--N", "2", "--restarts", "1", "--iterations",
+     "3", "--seed", "1", "--x", "0.3", "--penalty", "5", "--out", "OUT"],]
+
+
+@pytest.mark.parametrize("argv", EVERY_MODE, ids=lambda argv: "-".join(
+    [argv[0], *(a[2:] for a in argv if a.startswith("--") and a != "--out")]))
+def test_every_flag_given_is_read(capsys, tmp_path, diagonal_file, argv):
+    parser = build_parser()
+    paths = {"LAW": diagonal_file, "OUT": str(tmp_path / "out")}
+    argv = [paths.get(a, a) for a in argv]
+    args = parser.parse_args(argv)
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    sub = commands.choices[argv[0]]
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    recorded = Recording(**vars(args))
+    assert recorded.func(recorded) == 0
+    # "command" picks the subcommand, before any of its flags is read
+    given = {dest for dest, value in vars(args).items()
+             if dest != "command" and value != sub.get_default(dest)}
+    assert given - read == set()
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -295,17 +357,29 @@ def test_profile_json_to_file(capsys, tmp_path, diagonal_file):
     assert obj == {"N": 2, "values": [0.0, 0.5, 0.5]}
 
 
+@pytest.mark.parametrize("law", [
+    {"d": 2, "N": 0, "dense": [1.0]},
+    {"d": 2, "N": 0, "support": [{"config": [], "p": 1.0}]},
+], ids=["dense", "sparse"])
+def test_profile_of_an_empty_system(capsys, tmp_path, recwarn, law):
+    path = tmp_path / "n0.json"
+    path.write_text(json.dumps(law))
+    assert run(capsys, "profile", str(path)) == (0, "k,h,stderr\n0,0.0,\n", "")
+    assert run(capsys, "profile", str(path), "--sampled", "--seed", "1") == (
+        0, "k,h,stderr\n0,0.0,0.0\n", "")
+    assert not recwarn
+
+
 def test_profile_sampled_requires_seed(capsys, diagonal_file):
     with pytest.raises(SystemExit):
         main(["profile", diagonal_file, "--sampled"])
 
 
-def test_profile_cap_exit_3(capsys, tmp_path):
-    path = tmp_path / "big.json"
-    path.write_text(diagonal_law(2, 8).to_json())
-    code, _, err = run(capsys, "profile", str(path), "--cap-subsets", "4")
+def test_profile_cap_exit_3(capsys, over_cap_file):
+    code, _, err = run(capsys, "profile", over_cap_file)
     assert code == 3
-    assert "error" in err
+    assert "error" in err and "SUBSET_CAP = 22" in err
+    assert "profile --sampled" in err
 
 
 # --- intricacy ----------------------------------------------------------------
@@ -332,12 +406,10 @@ def test_intricacy_product_law_zero(capsys, tmp_path):
     assert rec["normalized_intricacy"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_intricacy_over_cap_without_sampled_exits_3(capsys, tmp_path):
-    path = tmp_path / "big.json"
-    path.write_text(diagonal_law(2, 6).to_json())
-    code, _, err = run(capsys, "intricacy", str(path), "--cap-subsets", "4")
+def test_intricacy_over_cap_without_sampled_exits_3(capsys, over_cap_file):
+    code, _, err = run(capsys, "intricacy", over_cap_file)
     assert code == 3
-    assert "error" in err
+    assert "error" in err and "SUBSET_CAP = 22" in err
 
 
 def test_intricacy_unknown_family_exits_2(capsys, diagonal_file):
@@ -472,9 +544,16 @@ def test_construct_needs_exactly_one_of_m_x(capsys, tmp_path):
 
 
 def test_construct_support_cap_exit_3(capsys, tmp_path):
-    code, _, _ = run(capsys, "construct", "--d", "2", "--N", "24", "--M", "22",
-                     "--seed", "0", "--out", str(tmp_path / "x.json"))
-    assert code == 3
+    # d^M = 2^21 draws, one power of 2 above SUPPORT_CAP; 2^15000 has more
+    # digits than int-to-str conversion allows, so it is never printed
+    census = ["census", "--census-seed", "1", "--y", "0.5", "--epsilon", "0.1"]
+    for argv, N, M in ((["construct"], "30", "21"), (census, "30", "21"),
+                       (["construct"], "20000", "15000")):
+        code, _, err = run(capsys, *argv, "--d", "2", "--N", N, "--M", M,
+                           "--seed", "0", "--out", str(tmp_path / "x"))
+        assert code == 3
+        assert f"d^M = 2^{M} draws is above SUPPORT_CAP = 1048576" in err
+        assert not (tmp_path / "x").exists()
 
 
 # --- sweep ----------------------------------------------------------------------
@@ -494,6 +573,13 @@ def test_sweep_csv_schema_and_reproducibility(capsys, tmp_path):
     row = lines[1].split(",")
     assert len(row) == 10
     assert row[0] == "est" and row[1] == "2"
+
+
+def test_sweep_over_cap_exits_3(capsys, tmp_path):
+    code, _, err = run(capsys, "sweep", "--d", "2", "--x", "0.5", "--N", "23",
+                       "--seeds", "0", "--out", str(tmp_path / "s.csv"))
+    assert code == 3
+    assert "SUBSET_CAP = 22" in err
 
 
 def test_sweep_range_syntax(capsys, tmp_path):

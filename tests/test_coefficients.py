@@ -131,7 +131,7 @@ def test_validation_passes_for_named_families():
         prev = None
         for N in range(1, 65):
             table = coefficient_table(measure, N)
-            report = validate_coefficients(table, predecessor=prev, tol=1e-12)
+            report = validate_coefficients(table, predecessor=prev)
             assert report.all_passed, (fam, N, report.details)
             prev = table
 
@@ -178,7 +178,7 @@ def measures(draw):
 def test_tables_always_valid(measure, N):
     table = coefficient_table(measure, N)
     prev = coefficient_table(measure, N - 1) if N > 1 else None
-    assert validate_coefficients(table, predecessor=prev, tol=1e-12).all_passed
+    assert validate_coefficients(table, predecessor=prev).all_passed
 
 
 def test_binomials_exact():

@@ -76,8 +76,9 @@ def test_entropy_at_most_m_log_d():
 
 
 def test_support_cap_enforced():
-    with pytest.raises(CapExceededError):
-        sample_sparse_system(ConstructionSpec(2, 30, 25, seed=0), cap=1 << 20)
+    # d^M = 2^21 draws, one power of 2 above the cap
+    with pytest.raises(CapExceededError, match=r"2\^21 draws .* = 1048576"):
+        sample_sparse_system(ConstructionSpec(2, 30, 21, seed=0))
 
 
 def test_spec_validation():

@@ -275,14 +275,27 @@ def test_profile_constant_system_zero():
 
 
 def test_profile_cap_raises():
-    with pytest.raises(CapExceededError):
-        entropy_profile_exact(diagonal_law(2, 8), cap=6)
+    with pytest.raises(CapExceededError, match="SUBSET_CAP = 22"):
+        entropy_profile_exact(point_mass(2, 23, [0] * 23))
+
+
+@pytest.mark.parametrize("law", [
+    SystemLaw.dense(2, 0, [1.0]),
+    SystemLaw.from_json_dict({"d": 2, "N": 0,
+                              "support": [{"config": [], "p": 1.0}]}),
+], ids=["dense", "sparse"])
+def test_profile_of_an_empty_system_is_zero(law, recwarn):
+    exact = entropy_profile_exact(law)
+    sampled = entropy_profile_sampled(law, [0], 2, seed=0)
+    assert exact.values.tolist() == sampled.values.tolist() == [0.0]
+    exact.validate()
+    assert not recwarn
 
 
 def test_profile_in_gamma(rng):
     for d, N in ((2, 5), (3, 4)):
         prof = entropy_profile_exact(random_dense_law(rng, d, N))
-        prof.validate(tol=1e-9)
+        prof.validate()
 
 
 def test_averaged_increment_monotonicity(rng):
@@ -518,11 +531,17 @@ def test_subset_entropies_out_of_range_masks():
         mutual_information(law, 0b101)
 
 
-@pytest.mark.parametrize("bad", [3.5, "3", np.float64(2.0), None])
+@pytest.mark.parametrize("bad", [3.5, "3", np.float64(2.0), None, True,
+                                 np.array([True, False])])
 def test_subset_entropies_rejects_non_integer_masks(bad):
     law = diagonal_law(2, 2)
-    with pytest.raises(TypeError, match=re.escape(f"mask {bad!r} ")):
-        laws.subset_entropies(law, [1, bad])
+    if isinstance(bad, np.ndarray):
+        # a boolean membership vector, not masks 1 and 0
+        masks, shown = bad, True
+    else:
+        masks, shown = [1, bad], bad
+    with pytest.raises(TypeError, match=re.escape(f"mask {shown!r} ")):
+        laws.subset_entropies(law, masks)
 
 
 def _pool_widths(monkeypatch, cores):
@@ -805,27 +824,21 @@ def test_all_subset_entropies_are_one_read_only_array():
     for law, _ in _cached_laws():
         H = all_subset_entropies(law)
         assert all_subset_entropies(law) is H
-        assert all_subset_entropies(law, cap=law.N) is H
         assert not H.flags.writeable
         with pytest.raises(ValueError):
             H[1] = 0.0
         assert H[0] == 0.0 and not np.signbit(H[0])
 
 
-def test_cap_is_checked_after_the_kernel_ran():
-    for law, _ in _cached_laws():
-        all_subset_entropies(law)
-        assert "_entropies" in vars(law)
-        cap = law.N - 1
-        with pytest.raises(CapExceededError):
-            all_subset_entropies(law, cap=cap)
-        with pytest.raises(CapExceededError):
-            entropy_profile_exact(law, cap=cap)
-        table = it.coefficient_table(it.est_measure(), law.N)
-        with pytest.raises(CapExceededError):
-            it.intricacy_defn(law, table, cap=cap)
-        with pytest.raises(CapExceededError):
-            it.deficit_report(law, table, cap=cap)
+def test_over_cap_law_is_refused_on_every_exact_route():
+    law = point_mass(2, 23, [0] * 23)
+    table = it.coefficient_table(it.est_measure(), 23)
+    for route in (all_subset_entropies, entropy_profile_exact,
+                  lambda law: it.intricacy_defn(law, table),
+                  lambda law: it.deficit_report(law, table)):
+        with pytest.raises(CapExceededError, match="SUBSET_CAP"):
+            route(law)
+        assert "_entropies" not in vars(law)
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -921,7 +934,7 @@ def test_lattice_point_mass_is_exactly_zero(d, N):
 
 
 def test_exhaustive_mask_enumeration_is_capped(monkeypatch):
-    monkeypatch.setattr(laws, "DEFAULT_SUBSET_CAP", 4)
+    monkeypatch.setattr(laws, "SUBSET_CAP", 4)
     law = uniform_law(2, 8)
     # C(8, 1) = 8 masks fit under 2^4; C(8, 4) = 70 do not
     prof = entropy_profile_sampled(law, [1], 2, seed=0, exhaustive=True)

@@ -36,8 +36,16 @@ def _out_stream(args):
 
 
 def _load_law(path: str) -> SystemLaw:
+    """A law file, or the law under the "law" key of a ``maximize`` output."""
     with open(path) as fh:
-        return SystemLaw.from_json(fh.read())
+        text = fh.read()
+    try:
+        return SystemLaw.from_json(text)
+    except LawValidationError:
+        obj = json.loads(text)
+        if not (isinstance(obj, dict) and "law" in obj):
+            raise
+        return SystemLaw.from_json_dict(obj["law"])
 
 
 def _families(spec: str):

@@ -213,10 +213,11 @@ def _lattice_factor(d: int, n: int):
 
 
 def _search_lattice(d: int, N: int, c: np.ndarray):
-    """The ``A, B, u, shift`` of :func:`_intricacy_and_grad`, built once per
-    search.  I^c(p) = sum_{S != empty} 2 c_|S| H(X_S) - H(X), so a cell with
-    kept axes S weighs u_S = -2 c_|S|, but 0 if S is empty and 1 more if S
-    is full; the shift is the sum of u_S over the 2^N masks."""
+    """The ``A, B, u, shift`` of :func:`_intricacy` and
+    :func:`_intricacy_grad`, built once per search.  I^c(p) =
+    sum_{S != empty} 2 c_|S| H(X_S) - H(X), so a cell with kept axes S
+    weighs u_S = -2 c_|S|, but 0 if S is empty and 1 more if S is full; the
+    shift is the sum of u_S over the 2^N masks."""
     A, ka = _lattice_factor(d, N // 2)
     B, kb = _lattice_factor(d, N - N // 2)
     u = -2.0 * c
@@ -226,19 +227,29 @@ def _search_lattice(d: int, N: int, c: np.ndarray):
     return A, B, u[np.add.outer(ka, kb)], shift
 
 
-def _intricacy_and_grad(p: np.ndarray, A, B, u, shift):
-    """I^c(p) in nats and its gradient off the (d+1)^N lattice cells:
-    nu = A P B^T, for p as a d^floor(N/2) x d^ceil(N/2) matrix P, holds every
-    subset marginal; I = sum u nu log nu, dI/dp = A^T (u log nu) B + shift.
+def _weighted_log_cells(p: np.ndarray, A, B, u):
+    """nu and u log nu on the (d+1)^N lattice cells: nu = A P B^T, for p as
+    a d^floor(N/2) x d^ceil(N/2) matrix P, holds every subset marginal.
     Each product is an ``einsum`` (numpy's loops, not BLAS), so no bit
     depends on the BLAS thread count."""
     nu = np.einsum("ik,lk->il", np.einsum(
         "ij,jk->ik", A, p.reshape(A.shape[1], B.shape[1])), B)
     ulog = np.log(np.maximum(nu, 1e-300))
     ulog *= u
-    value = float(np.einsum("ij,ij->", ulog, nu))
+    return nu, ulog
+
+
+def _intricacy(p: np.ndarray, A, B, u) -> float:
+    """I^c(p) in nats: I = sum u nu log nu over the lattice cells."""
+    nu, ulog = _weighted_log_cells(p, A, B, u)
+    return float(np.einsum("ij,ij->", ulog, nu))
+
+
+def _intricacy_grad(p: np.ndarray, A, B, u, shift) -> np.ndarray:
+    """dI^c/dp = A^T (u log nu) B + shift, in the shape of p."""
+    _, ulog = _weighted_log_cells(p, A, B, u)
     grad = np.einsum("jl,lk->jk", np.einsum("ij,il->jl", A, ulog), B) + shift
-    return value, grad.reshape(p.shape)
+    return grad.reshape(p.shape)
 
 
 def maximizer_search(d: int, N: int, table: CoefficientTable, *,
@@ -273,7 +284,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
         raise ValueError(f"penalty weight {penalty_weight!r} is not a finite "
                          "number >= 0")
     rng = SplitMix64(seed)
-    lattice = _search_lattice(d, N, table.c)
+    A, B, u, shift = _search_lattice(d, N, table.c)
     shape = (d,) * N
     norm = N * math.log(d)
     best = None
@@ -283,7 +294,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
         p = np.maximum(p.reshape(shape) / p.sum(), 1e-12)
         p /= p.sum()
         for t in range(1, iterations + 1):
-            value, grad = _intricacy_and_grad(p, *lattice)
+            grad = _intricacy_grad(p, A, B, u, shift)
             if entropy_target is not None:
                 logp = np.log(np.maximum(p, 1e-300))
                 h_n = float(-(p * logp).sum()) / norm
@@ -293,7 +304,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
             p = p * np.exp(step * (grad - grad.max()))
             p /= p.sum()
         law = SystemLaw.dense(d, N, p.ravel())
-        value, _ = _intricacy_and_grad(p, *lattice)
+        value = _intricacy(p, A, B, u)
         x_ach = min(max(entropy(law) / norm, 0.0), 1.0)
         cert = ic_n(x_ach, table) - value / norm
         results.append(RestartResult(value, value / norm, x_ach, cert))

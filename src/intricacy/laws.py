@@ -39,6 +39,9 @@ _MASS_WIDTH = 24
 # Cells of the largest sub-lattice evaluated in whole-array passes: 128 KB
 # of floats, so a block's few arrays stay in cache.
 _LATTICE_BLOCK = 1 << 14
+# Keys of the largest row block the sort path sorts at once: a block's
+# temporaries take ~30 bytes a key, so ~2 MB, one core's L2 cache.
+_SORT_BLOCK = 1 << 16
 _SUPPORT_HEAD = re.compile(r'\{"d": (\d{1,3}), "N": (\d{1,9}), "support": \[')
 
 
@@ -603,14 +606,16 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray, fields=(),
     m, n = K.shape
     word = K.dtype.type
     shift = (n - 1).bit_length()
+    low = word(1 << shift)
     K <<= word(shift)
     K |= np.arange(n, dtype=word)
     K.sort(axis=1)
-    Ks = K >> word(shift)
-    order = np.bitwise_and(K, word((1 << shift) - 1), out=K)
+    # sorted neighbours differ above the index bits iff their xor reaches them
     starts = np.empty((m, n), dtype=bool)
     starts[:, 0] = True
-    np.not_equal(Ks[:, 1:], Ks[:, :-1], out=starts[:, 1:])
+    np.greater_equal(np.bitwise_xor(K[:, 1:], K[:, :-1]), low,
+                     out=starts[:, 1:])
+    order = np.bitwise_and(K, low - word(1), out=K)
     for f, k in zip(fields, keys):
         rows = slice(None) if f.all() else np.flatnonzero(f)
         # field, group rank and index of each point, in the last sort's order
@@ -623,11 +628,12 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray, fields=(),
         Kw |= rank
         Kw |= prev
         Kw.sort(axis=1)
-        Ks = Kw >> word(shift)
-        starts[rows, 1:] = Ks[:, 1:] != Ks[:, :-1]
-        order[rows] = np.bitwise_and(Kw, word((1 << shift) - 1), out=Kw)
+        starts[rows, 1:] = np.bitwise_xor(Kw[:, 1:], Kw[:, :-1]) >= low
+        order[rows] = np.bitwise_and(Kw, low - word(1), out=Kw)
     firsts = np.flatnonzero(starts)
-    sums = np.add.reduceat(probs[order].ravel(), firsts)
+    # every index is below n: "clip" clips nothing, and skips the raise
+    # mode's cast of the index words to intp
+    sums = np.add.reduceat(np.take(probs, order.ravel(), mode="clip"), firsts)
     sums *= -np.log(sums)               # group sums are > 0
     # reduceat sums each segment pairwise; row j's groups are one segment
     return np.add.reduceat(sums, np.searchsorted(firsts, np.arange(m) * n))
@@ -647,11 +653,14 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
     coords = np.arange(bounds[1], dtype=word)
     field = (word(1) << (word(b) * coords)) * word((1 << b) - 1)
     out = np.empty(masks.size)
-    # ~2^20 keys in flight over all workers; every row is computed on its
-    # own, so the output does not depend on the chunk size or the workers
+    # ~2^20 keys per call split over the workers; each chunk then runs in
+    # blocks of at most _SORT_BLOCK keys (one row at least).  Every row is
+    # computed on its own, so the output does not depend on the chunk or
+    # block size or the workers
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     chunk = max(1, min(4096, 2**20 // probs.size) // cores)
+    block = max(1, _SORT_BLOCK // probs.size)
     starts = range(0, masks.size, chunk)
 
     def run(start):
@@ -662,11 +671,18 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
                           @ field[:hi - lo])
         # a word that no mask of the chunk touches would split no group
         first, *later = [i for i, f in enumerate(fields) if f.any()] or [0]
-        # K is held until the chunk's entropies are stored: freed with the
-        # sort's temporaries, it made a small law fault in fresh pages
+        # the chunk's first words, sorted a row block at a time in place.
+        # Freed after the chunk's last block, this 2-4 MB array (on two
+        # cores) lifts glibc's trim threshold, twice the largest mmapped
+        # allocation freed, above a block's ~2 MB of temporaries, so the
+        # blocks reuse their pages; 2^17-key blocks, or a K per block,
+        # faulted in fresh ones
         K = np.bitwise_and(fields[first][:, None], keys[first])
-        out[start:start + ms.size] = _grouped_entropies(
-            K, probs, [fields[i] for i in later], [keys[i] for i in later])
+        for at in range(0, len(K), block):
+            rows = slice(at, min(at + block, len(K)))
+            out[start + at:start + rows.stop] = _grouped_entropies(
+                K[rows], probs, [fields[i][rows] for i in later],
+                [keys[i] for i in later])
 
     workers = min(cores, len(starts))
     if workers <= 1:
@@ -696,8 +712,11 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     calls and every worker share them.
     Masks go ``max(1, min(4096, 2**20 // support) // cores)`` at a time,
     where ``cores`` is the number of CPUs in the process's affinity set, and
-    the chunks run on a thread pool of up to ``cores`` workers (one chunk
-    runs inline), so ~2^20 keys are in flight in total.  Each row of first
+    these chunks run on a thread pool of up to ``cores`` workers (one chunk
+    runs inline), so ~2^20 keys are split over the workers.  Each worker
+    sorts its chunk in row blocks of at most ``_SORT_BLOCK`` (2^16) keys,
+    at least one row, so a block's temporaries stay near one core's L2
+    cache.  Each row of first
     words is sorted with the support index packed into its low bits; each
     further word the mask touches is sorted with the previous sort's group
     rank between it and the index, so every sort refines the groups of the
@@ -705,7 +724,8 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     keys are summed, and each row's -p log p terms are added pairwise by
     ``np.add.reduceat`` (about 1e-15 nats at a support of 65k points; a
     sequential sum misses by ~1e-11).  Every row is computed on its own, so
-    the output is bit-identical at any chunk size and worker count.
+    the output is bit-identical at any chunk size, block size and worker
+    count.
     Every law takes this path, whatever its file format or N.  The empty
     mask has entropy exactly 0.
     Raises ``TypeError`` for a mask that is not an integer and
@@ -812,10 +832,11 @@ def all_subset_entropies(law: SystemLaw) -> np.ndarray:
       d terms per step;
     - the *sort* path (the one :func:`subset_entropies` uses) groups the
       support by its projected configuration, mask by mask: about
-      2^N * support * log(support) work per key word, with chunks of masks
-      run on every CPU in the process's affinity set and ~2^20 keys in
-      memory at a time over all of them; the output is bit-identical at any
-      worker count.
+      2^N * support * log(support) work per key word.  Chunks of ~2^20 /
+      cores keys run on every CPU in the process's affinity set, and each
+      chunk is sorted in row blocks of at most ``_SORT_BLOCK`` (2^16) keys,
+      ~2 MB of temporaries per worker; the output is bit-identical at any
+      chunk size, block size and worker count.
 
     The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
     high-support laws; the sort path otherwise, e.g. for the sparse

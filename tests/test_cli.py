@@ -180,6 +180,14 @@ MAXIMIZE_BAD_D = ["-2", "0", "1", "257"]
     pytest.param({"d": 2, "N": 2, "support": [{"config": [[0], [1]], "p": 0.5},
                                               {"config": [[1], [0]], "p": 0.5}]},
                  ["entropy"], id="nested-config"),
+    # a maximize output whose "law" is not a law object
+    *[pytest.param({"family": "est", "d": 2, "N": 1, "law": law},
+                   [mode], id=f"maximize-output-{name}-law-{mode}")
+      for name, law in [("list", [0.5, 0.5]), ("string", "law"),
+                        ("number", 3), ("null", None),
+                        ("empty", {}), ("bad-mass", {"d": 2, "N": 1,
+                                                     "dense": [0.5, 0.4]})]
+      for mode in ("entropy", "intricacy")],
     *[pytest.param(None, argv, id=name) for name, argv in SEED_OUT_OF_RANGE],
     *[pytest.param(None, ["maximize", "--d", d, "--N", "2", "--seed", "0"],
                    id=f"maximize-d-{d}") for d in MAXIMIZE_BAD_D],
@@ -637,6 +645,21 @@ def test_maximize_json(capsys, tmp_path):
     # plain floats, not numpy 2's np.float64(...) repr
     assert err == (f"best I={obj['intricacy_nats']!r} "
                    f"certificate={obj['certificate']!r}\n")
+
+
+def test_maximize_output_reads_as_its_law(capsys, tmp_path):
+    result = tmp_path / "max.json"
+    code, _, _ = run(capsys, "maximize", "--d", "2", "--N", "4",
+                     "--seed", "3", "--restarts", "2", "--iterations", "30",
+                     "--out", str(result))
+    assert code == 0
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps(json.loads(result.read_text())["law"]))
+    for mode, *flags in (["entropy"], ["profile"],
+                         ["intricacy", "--families", "est,uniform"]):
+        direct = run(capsys, mode, str(result), *flags)
+        assert direct[0] == 0
+        assert direct == run(capsys, mode, str(law), *flags)
 
 
 def test_maximize_cap_exit_3(capsys):

@@ -17,7 +17,8 @@ from intricacy import (CapExceededError, LawValidationError, SplitMix64,
 from intricacy.construction import ConstructionSpec
 from intricacy.experiments import (CENSUS_CSV_HEADER, SEARCH_CAP_CELLS,
                                    SWEEP_CSV_HEADER, ExperimentRecord,
-                                   _intricacy_and_grad, _search_lattice)
+                                   _intricacy, _intricacy_grad,
+                                   _search_lattice)
 
 FAMILIES = [("est", est_measure()), ("uniform", uniform_measure()),
             ("p-sym:0.3", p_symmetric_measure(0.3))]
@@ -224,16 +225,17 @@ def test_maximizer_deterministic():
 def test_intricacy_and_grad_value_and_gradient(d, N):
     table = coefficient_table(est_measure(), N)
     p = np.random.default_rng(17 * d + N).dirichlet(np.ones(d**N))
-    lattice = _search_lattice(d, N, table.c)
-    value, grad = _intricacy_and_grad(p.reshape((d,) * N), *lattice)
+    A, B, u, shift = _search_lattice(d, N, table.c)
+    value = _intricacy(p.reshape((d,) * N), A, B, u)
+    grad = _intricacy_grad(p.reshape((d,) * N), A, B, u, shift)
     assert value == pytest.approx(
         intricacy_defn(SystemLaw.dense(d, N, p), table), abs=1e-12)
     h = 1e-6
     for x in range(d**N):
         e = np.zeros(d**N)
         e[x] = h
-        up, _ = _intricacy_and_grad((p + e).reshape((d,) * N), *lattice)
-        down, _ = _intricacy_and_grad((p - e).reshape((d,) * N), *lattice)
+        up = _intricacy((p + e).reshape((d,) * N), A, B, u)
+        down = _intricacy((p - e).reshape((d,) * N), A, B, u)
         assert grad.ravel()[x] == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
 
@@ -270,11 +272,12 @@ def _intricacy_and_grad_per_call(p, c):
 @pytest.mark.parametrize("family", ["est", "uniform", "p-sym:0.3"])
 def test_intricacy_and_grad_matches_per_call_weights_bitwise(d, N, family):
     table = coefficient_table(parse_family(family), N)
-    lattice = _search_lattice(d, N, table.c)
+    A, B, u, shift = _search_lattice(d, N, table.c)
     gen = np.random.default_rng(d * 100 + N)
     for _ in range(3):
         p = gen.dirichlet(np.ones(d**N)).reshape((d,) * N)
-        value, grad = _intricacy_and_grad(p, *lattice)
+        value = _intricacy(p, A, B, u)
+        grad = _intricacy_grad(p, A, B, u, shift)
         want_value, want_grad = _intricacy_and_grad_per_call(p, table.c)
         assert value == want_value
         assert np.array_equal(grad, want_grad)
@@ -306,8 +309,9 @@ def test_intricacy_and_grad_match_the_definition_and_dict_marginals(
     p = np.random.default_rng(seed).dirichlet(np.ones(d**N))
     p = np.maximum(p, 1e-12)
     p /= p.sum()
-    value, grad = _intricacy_and_grad(p.reshape((d,) * N),
-                                      *_search_lattice(d, N, table.c))
+    A, B, u, shift = _search_lattice(d, N, table.c)
+    value = _intricacy(p.reshape((d,) * N), A, B, u)
+    grad = _intricacy_grad(p.reshape((d,) * N), A, B, u, shift)
     assert value == pytest.approx(
         intricacy_defn(SystemLaw.dense(d, N, p), table), abs=1e-12)
     configs = itertools.product(range(d), repeat=N)

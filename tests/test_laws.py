@@ -628,6 +628,75 @@ def test_one_chunk_call_starts_no_pool(monkeypatch):
     assert np.array_equal(laws.subset_entropies(law, masks), want)
 
 
+def test_sort_block_size_does_not_change_entropies(monkeypatch):
+    wide = it.sample_sparse_system(it.ConstructionSpec(2, 70, 16, 3))
+    assert wide._keys.shape[0] == 2
+    stream = it.SplitMix64(19)
+    # masks touching word 0 only, word 1 only and both, so the later-word
+    # pass runs on some rows of a block and skips others
+    masks = [stream.sample_subset_mask(70, k) for k in (1, 12, 35, 69)]
+    masks += [1, 1 << 69, (1 << 46) | 1, 0, full_mask(70)]
+    masks += [m & full_mask(40) for m in masks[:4]]
+    masks += [m & ~full_mask(50) for m in masks[:4]]
+    calls = [(it.sample_sparse_system(it.ConstructionSpec(*spec)), None)
+             for spec in [(2, 16, 8, 0), (3, 12, 6, 4)]] + [(wide, masks)]
+
+    def entropies(law, masks):
+        if masks is None:
+            return all_subset_entropies(replace(law))
+        return laws.subset_entropies(law, masks)
+
+    for law, masks in calls:
+        want = entropies(law, masks)
+        n = law.support_size
+        for rows, size in ((1, 1), (3, 3 * n), ("over a chunk", 1 << 40)):
+            monkeypatch.setattr(laws, "_SORT_BLOCK", size)
+            assert np.array_equal(entropies(law, masks), want), (law.N, rows)
+        monkeypatch.undo()
+    law = calls[1][0]
+    H = all_subset_entropies(law)
+    pmap = naive_pmap(law)
+    for m in (1, 0b101010101010, 0b111111000000, full_mask(12)):
+        assert H[m] == pytest.approx(naive_subset_entropy(pmap, _keep(m, 12)),
+                                     abs=1e-12)
+
+
+def test_kernel_rows_stay_within_one_block(monkeypatch):
+    # large_n's 4-mask calls at 65k support stay one inline chunk, now
+    # sorted a row at a time; an exhaustive N=16 run on two cores never
+    # sorts more than a block of rows either
+    rows = []
+    grouped = laws._grouped_entropies
+
+    def counting(K, *args):
+        rows.append(len(K))
+        return grouped(K, *args)
+
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77))
+    stream = it.SplitMix64(4)
+    masks = [stream.sample_subset_mask(22, k) for k in (2, 9, 16, 20)]
+    want = laws.subset_entropies(law, masks)
+    monkeypatch.setattr(laws.os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+    def refuse(*_):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(laws, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(laws, "_grouped_entropies", counting)
+    assert np.array_equal(laws.subset_entropies(law, masks), want)
+    assert sum(rows) == 4
+    assert max(rows) == max(1, laws._SORT_BLOCK // law.support_size)
+    monkeypatch.undo()
+    small = it.sample_sparse_system(it.ConstructionSpec(2, 16, 8, 5))
+    _pool_widths(monkeypatch, 2)
+    monkeypatch.setattr(laws, "_grouped_entropies", counting)
+    rows.clear()
+    all_subset_entropies(small)
+    block = laws._SORT_BLOCK // small.support_size
+    assert sum(rows) == 1 << 16 and max(rows) == block
+
+
 def _counting_keys(monkeypatch):
     """Count how often the law's support keys are built."""
     prop = SystemLaw.__dict__["_keys"]

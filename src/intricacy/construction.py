@@ -24,7 +24,6 @@ from .rng import SplitMix64
 
 # Most configurations (d^M) one construction may draw.
 SUPPORT_CAP = 1 << 20
-EXACT_SUM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -84,15 +83,12 @@ def _phi(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _binomial_pmf(n: int, p: float, lo: int, hi: int) -> np.ndarray:
-    """P(B = j) for j = lo..hi, B ~ Binomial(n, p), 0 < p < 1.
+    """P(B = j | lo <= B <= hi) for j = lo..hi, B ~ Binomial(n, p), 0 < p < 1.
 
     The log-ratios log P(j+1)/P(j) = log((n-j)/(j+1) * p/(1-p)) are
     summed outward from the mode, so no term under- or overflows before
-    ``exp``.  A window that is all of 0..n, or that starts above 0 (a
-    mean +/- 12 sigma window, outside which lies < 1e-30 of the mass), is
-    normalized over itself; a truncated window that starts at 0 is anchored
-    at P(0) = (1-p)^n instead, so its sum falls short of 1 by the mass
-    outside it.
+    ``exp``, and the terms are normalized over the window.  A window of all
+    of 0..n gives the binomial law itself.
     """
     js = np.arange(lo, hi, dtype=float)
     # one log of the whole ratio: half the rounding of two added logs
@@ -101,26 +97,29 @@ def _binomial_pmf(n: int, p: float, lo: int, hi: int) -> np.ndarray:
     logq = np.zeros(hi - lo + 1)
     np.cumsum(steps[m:], out=logq[m + 1:])
     logq[:m] = -np.cumsum(steps[:m][::-1])[::-1]
-    if lo == 0 and hi < n:
-        return np.exp(logq + (n * math.log1p(-p) - logq[0]))
     q = np.exp(logq)
     return q / np.add.reduce(q)
 
 
 class ExpectedEntropyDetail(NamedTuple):
+    """h_k in units of log d; ``truncated_tail_mass`` is Bernstein's bound
+    (< 1e-30) on the mass outside its sum, 0.0 when the sum is all of 0..n."""
+
     value: float
     truncated_tail_mass: float
 
 
 def expected_subset_entropy_detail(d: int, N: int, M: int,
                                    k: int) -> ExpectedEntropyDetail:
-    """h_k in units of log d, and the binomial mass left out of its sum.
+    """h_k in units of log d, and a bound on the binomial mass left out.
 
-    With n = d^M draws and p = d^-k, the sum runs over B = 0..n when
-    n <= EXACT_SUM_CAP, and over the window mean +/- 12 sigma (cut at 0 and
-    n) otherwise; ``truncated_tail_mass`` is the mass outside that window
-    (0.0 for the full sum).  The binomial law comes from
-    :func:`_binomial_pmf`, and the phi-weighted terms are added pairwise.
+    With n = d^M draws, p = d^-k, mean np and sigma^2 = np(1-p), the sum
+    runs over B in mean +/- t, t = 12 sigma + 50, cut at 0 and n.  By
+    Bernstein's inequality the mass outside is at most
+    2 exp(-t^2 / (2 (sigma^2 + t/3))) < 2 exp(-72) < 1e-30, for a large mean
+    and a mean below 1 alike; that bound is ``truncated_tail_mass``.  The
+    law comes from :func:`_binomial_pmf`, and the phi-weighted terms are
+    added pairwise.
     """
     if not 0 <= k <= N:
         raise ValueError(f"need 0 <= k <= N, got k={k}")
@@ -130,16 +129,14 @@ def expected_subset_entropy_detail(d: int, N: int, M: int,
         return ExpectedEntropyDetail(0.0, 0.0)
     n = d**M
     p = float(d) ** (-k)
-    lo, hi = 0, n
-    if n > EXACT_SUM_CAP:
-        mean = n * p
-        sigma = math.sqrt(n * p * (1.0 - p))
-        lo = max(0, int(mean - 12 * sigma))
-        hi = min(n, int(mean + 12 * sigma) + 1)
+    mean = n * p
+    sigma = math.sqrt(mean * (1.0 - p))
+    # 12 sigma holds the Gaussian tail, 50 the Poisson one of a small mean
+    t = 12 * sigma + 50
+    lo, hi = max(0, int(mean - t)), min(n, int(mean + t))
+    tail = 0.0 if (lo, hi) == (0, n) else 2.0 * math.exp(
+        -t * t / (2.0 * (sigma * sigma + t / 3.0)))
     pmf = _binomial_pmf(n, p, lo, hi)
-    tail = 0.0
-    if (lo, hi) != (0, n):
-        tail = max(0.0, 1.0 - float(np.add.reduce(pmf)))
     js = np.arange(lo, hi + 1, dtype=float)
     if k <= M:
         # first closed form: stable when the binomial mean d^{M-k} is large

@@ -372,12 +372,8 @@ def _parse_entries(block: bytes, d: int, N: int
 
 
 def _text_table(texts: list[str]) -> np.ndarray:
-    """One row per text: its ASCII bytes right-aligned, zero bytes before."""
-    width = max(map(len, texts))
-    table = np.zeros((len(texts), width), dtype=np.uint8)
-    for row, text in zip(table, texts):
-        row[width - len(text):] = np.frombuffer(text.encode(), np.uint8)
-    return table
+    """One row per text: its ASCII bytes, zero bytes after."""
+    return np.array(texts, dtype="S").view(np.uint8).reshape(len(texts), -1)
 
 
 def _support_text(d: int, configs: np.ndarray, probs: np.ndarray) -> list[bytes]:
@@ -890,9 +886,12 @@ class EntropyProfile:
             raise ValueError("profile needs N+1 values")
 
     def validate(self) -> None:
-        """Check membership in Gamma, within ``PROFILE_TOL``: h(0)=0,
-        nondecreasing, increments at most 1/N."""
+        """Check membership in Gamma, within ``PROFILE_TOL``: every value
+        finite, h(0)=0, nondecreasing, increments at most 1/N.  A sampled
+        profile with unrequested sizes (NaN) is not checkable and fails."""
         v = self.values
+        if not np.all(np.isfinite(v)):
+            raise ValueError("profile values must be finite")
         if abs(v[0]) > PROFILE_TOL:
             raise ValueError("profile must start at 0")
         inc = np.diff(v)
@@ -907,7 +906,7 @@ def entropy_profile_exact(law: SystemLaw) -> EntropyProfile:
     over all C(N,k) subsets of size k; h(0) = 0 exactly, also at N = 0."""
     N = law.N
     H = all_subset_entropies(law)
-    k = np.bitwise_count(np.arange(1 << N, dtype=np.uint32)).astype(np.intp)
+    k = np.bitwise_count(np.arange(1 << N, dtype=np.uint32))  # uint8
     sums = np.bincount(k, weights=H, minlength=N + 1)
     counts = np.array([math.comb(N, j) for j in range(N + 1)], dtype=float)
     values = sums / counts

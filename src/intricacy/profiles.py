@@ -24,7 +24,7 @@ def intricacy_defn(law: SystemLaw, table: CoefficientTable) -> float:
         raise ValueError(f"table size {table.N} != law size {law.N}")
     H = all_subset_entropies(law)
     mi = H + H[::-1] - H[-1]
-    k = np.bitwise_count(np.arange(H.size, dtype=np.uint32)).astype(np.intp)
+    k = np.bitwise_count(np.arange(H.size, dtype=np.uint32))  # uint8
     # a pairwise sum: BLAS dots over 2^N terms split by thread count
     return float(np.add.reduce(table.c[k] * mi))
 

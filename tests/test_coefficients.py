@@ -24,6 +24,17 @@ def test_mass_deficit_rejected():
         MixingMeasure(((0.5, 0.9),), 0.0)
 
 
+@pytest.mark.parametrize("atoms,lebesgue,match", [
+    (((0.5, -0.5),), 1.5, "lebesgue_mass outside"),
+    (((1.5, 0.5), (-0.5, 0.5)), 0.0, "atom location 1.5 outside"),
+    (((0.5, 1.0), (0.25, 0.0)), 0.0, "atom masses must be positive"),
+])
+def test_measure_outside_its_domain_rejected(atoms, lebesgue, match):
+    # each has total mass 1, so the named check is the one that fires
+    with pytest.raises(MeasureValidationError, match=match):
+        MixingMeasure(atoms, lebesgue)
+
+
 def test_p_symmetric_half_collapses_to_uniform():
     m = p_symmetric_measure(0.5)
     assert m.atoms == ((0.5, 1.0),)

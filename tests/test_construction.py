@@ -11,7 +11,7 @@ from intricacy import (CapExceededError, ConstructionSpec, SplitMix64,
                        SystemLaw, entropy, entropy_profile_exact, est_measure,
                        expected_subset_entropy, entropy_envelope, m_from_target,
                        realized_profile, sample_sparse_system, subset_entropy)
-from intricacy.construction import (EXACT_SUM_CAP, _binomial_pmf,
+from intricacy.construction import (_binomial_pmf,
                                     expected_subset_entropy_detail)
 
 
@@ -86,6 +86,8 @@ def test_spec_validation():
         ConstructionSpec(2, 4, 5, seed=0)
     with pytest.raises(ValueError):
         ConstructionSpec(1, 4, 2, seed=0)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        ConstructionSpec(2, 0, 0, seed=0)
 
 
 def test_m_from_target():
@@ -199,43 +201,49 @@ def test_binomial_pmf_matches_scipy_property(n, log_p):
 
 
 def scipy_expected_entropy(d, M, k):
-    """h_k and the mass outside its summation window, from scipy's binomial
-    law over the same window, added by math.fsum."""
+    """h_k from scipy's binomial law over mean +/- (40 sigma + 400), a window
+    far wider than the implementation's, added by math.fsum."""
     from scipy import stats
     n, p = d**M, float(d) ** (-k)
-    lo, hi = 0, n
-    if n > EXACT_SUM_CAP:
-        mean, sigma = n * p, math.sqrt(n * p * (1.0 - p))
-        lo = max(0, int(mean - 12 * sigma))
-        hi = min(n, int(mean + 12 * sigma) + 1)
+    mean, sigma = n * p, math.sqrt(n * p * (1.0 - p))
+    lo = max(0, int(mean - 40 * sigma) - 400)
+    hi = min(n, int(mean + 40 * sigma) + 400)
     js = np.arange(lo, hi + 1, dtype=float)
     pmf = stats.binom.pmf(js, n, p)
-    outside = stats.binom.sf(hi, n, p) + stats.binom.cdf(lo - 1, n, p)
     phi = lambda x: -x * np.log(np.where(x > 0, x, 1.0)) / math.log(d)
     if k <= M:
-        return k + math.fsum(pmf * phi(js * float(d) ** (k - M))), outside
-    return M + float(d) ** (k - M) * math.fsum(pmf * phi(js)), outside
+        return k + math.fsum(pmf * phi(js * float(d) ** (k - M)))
+    return M + float(d) ** (k - M) * math.fsum(pmf * phi(js))
+
+
+def window_is_whole(d, M, k):
+    """Whether the documented window mean +/- (12 sigma + 50) covers 0..n."""
+    n, p = d**M, float(d) ** (-k)
+    mean, sigma = n * p, math.sqrt(n * p * (1.0 - p))
+    t = 12 * sigma + 50
+    return int(mean - t) <= 0 and int(mean + t) >= n
 
 
 @pytest.mark.parametrize("d,N,M", H_GRID + TRUNCATED_GRID)
 def test_expected_entropy_matches_scipy(d, N, M):
     for k in range(1, N + 1):
-        want, outside = scipy_expected_entropy(d, M, k)
+        want = scipy_expected_entropy(d, M, k)
         got = expected_subset_entropy_detail(d, N, M, k)
         assert abs(got.value - want) <= 1e-13, (d, N, M, k)
-        if d**M > EXACT_SUM_CAP:
-            assert abs(got.truncated_tail_mass - outside) <= 1e-13, (d, N, M, k)
-        else:
-            assert got.truncated_tail_mass == 0.0
+        assert got.truncated_tail_mass <= 1e-30, (d, N, M, k)
+        if window_is_whole(d, M, k):
+            assert got.truncated_tail_mass == 0.0, (d, N, M, k)
 
 
-def test_truncated_window_from_zero_keeps_its_tail():
-    # Binomial(2^30, 2^-39) has mean 2^-9: the window is {0, 1} and the
-    # mass above it, P(B >= 2) ~ mean^2 / 2, is reported, not normalized away
-    from scipy import stats
-    tail = expected_subset_entropy_detail(2, 60, 30, 39).truncated_tail_mass
-    assert tail == pytest.approx(stats.binom.sf(1, 2**30, 2.0**-39), rel=1e-9)
-    assert tail == pytest.approx(1.90487e-6, rel=1e-5)
+@pytest.mark.parametrize("d,N,M,k", [(2, 60, 30, 39), (3, 30, 15, 20)])
+def test_small_mean_keeps_the_tail_where_phi_is_nonzero(d, N, M, k):
+    # B ~ Binomial(d^M, d^-k) has mean 2^-9 and 3^-5: almost all of its mass
+    # sits on {0, 1}, where phi(B) = 0, so h_k falls short of M only
+    # through B >= 2
+    got = expected_subset_entropy_detail(d, N, M, k)
+    assert got.value < M
+    assert abs(got.value - scipy_expected_entropy(d, M, k)) <= 1e-13
+    assert got.truncated_tail_mass <= 1e-30
 
 
 def test_argument_validation():

@@ -160,6 +160,17 @@ def test_marginal_preserves_representation():
     assert marginal(diagonal_law(2, 3), 0b011).kind == "sparse"
 
 
+@pytest.mark.parametrize("transform,arg,match", [
+    (laws.permute_coordinates, [0, 0, 1], "permutation of 0..N-1"),
+    (laws.permute_coordinates, [0, 1], "permutation of 0..N-1"),
+    (laws.relabel_symbols, [[1, 0]] * 2, "one symbol permutation"),
+    (laws.relabel_symbols, [[1, 0, 2]] * 3, "one symbol permutation"),
+])
+def test_transforms_reject_malformed_arguments(transform, arg, match):
+    with pytest.raises(ValueError, match=match):
+        transform(diagonal_law(2, 3), arg)
+
+
 def _table_with_zeros(gen, d, N):
     table = gen.dirichlet(np.ones(d**N))
     table[gen.permutation(d**N)[: d**N // 3]] = 0.0
@@ -343,6 +354,40 @@ def test_sampled_profile_deterministic(rng):
 def test_sampled_requires_two_samples():
     with pytest.raises(ValueError):
         entropy_profile_sampled(uniform_law(2, 3), [1], 1, seed=0)
+
+
+@pytest.mark.parametrize("size", [-1, 4])
+def test_sampled_size_outside_range_rejected(size):
+    with pytest.raises(IndexError, match="outside 0..3"):
+        entropy_profile_sampled(uniform_law(2, 3), [1, size], 2, seed=0)
+
+
+def test_profile_needs_n_plus_one_values():
+    with pytest.raises(ValueError, match="N\\+1 values"):
+        laws.EntropyProfile(3, [0.0, 0.5, 1.0])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("values,match", [
+    ([0.1, 0.3, 0.6, 0.9], "start at 0"),
+    ([0.0, 0.3, 0.2, 0.5], "increments"),
+    ([0.0, 0.5, 0.6, 0.7], "increments"),
+    # the NaN hides a rise of 0.9 over two sizes, above 2/3
+    ([0.0, NAN, 0.9, 1.0], "finite"),
+    ([0.0, 0.3, INF, 1.0], "finite"),
+    ([NAN, 0.3, 0.6, 0.9], "finite"),
+], ids=["h0", "fall", "rise", "nan-hides-rise", "inf", "nan-h0"])
+def test_profile_outside_gamma_rejected(values, match):
+    with pytest.raises(ValueError, match=match):
+        laws.EntropyProfile(3, values).validate()
+
+
+def test_sampled_profile_of_some_sizes_is_not_validated():
+    prof = entropy_profile_sampled(uniform_law(2, 3), [1], 4, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        prof.validate()
 
 
 # --- brute-force equivalence ------------------------------------------------

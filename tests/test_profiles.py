@@ -71,6 +71,13 @@ def test_matches_naive_oracle(rng):
 def test_table_size_mismatch_raises():
     with pytest.raises(ValueError):
         intricacy_defn(diagonal_law(2, 3), est_table(2))
+    with pytest.raises(ValueError):
+        g_functional(ideal_profile(0.5, 3), est_table(2))
+    from intricacy import profile_norm
+    with pytest.raises(ValueError):
+        profile_norm(ideal_profile(0.5, 3), ideal_profile(0.5, 2), est_table(3))
+    with pytest.raises(ValueError):
+        profile_norm(ideal_profile(0.5, 3), ideal_profile(0.5, 3), est_table(2))
 
 
 def test_invariant_under_coordinate_permutation(rng):
@@ -148,6 +155,8 @@ def test_icn_domain_check():
         ic_n(1.5, est_table(3))
     with pytest.raises(ValueError):
         ic_limit(-0.1, est_measure())
+    with pytest.raises(ValueError):
+        ideal_profile(1.5, 3)
 
 
 # --- ideal profiles and the deficit identity --------------------------------------

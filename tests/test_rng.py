@@ -42,6 +42,8 @@ def test_sample_subset_sorted_and_valid():
         assert all(0 <= i < 10 for i in s)
     assert r.sample_subset(5, 0) == ()
     assert r.sample_subset(5, 5) == (0, 1, 2, 3, 4)
+    with pytest.raises(ValueError):
+        r.sample_subset(5, 6)
 
 
 def test_sample_subset_mask_popcount():

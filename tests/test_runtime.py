@@ -42,7 +42,9 @@ law = sample_sparse_system(ConstructionSpec(2, 10, 5, seed=1))
 entropy_profile_exact(law).validate()
 expected_subset_entropy(2, 12, 6, 3)                  # the whole of 0..n
 assert expected_subset_entropy_detail(2, 40, 24, 10).truncated_tail_mass < 1e-12
-assert expected_subset_entropy_detail(2, 60, 30, 39).truncated_tail_mass > 1e-6
+small = expected_subset_entropy_detail(2, 60, 30, 39)  # mean 2^-9
+assert small.truncated_tail_mass < 1e-30
+assert abs(small.value - 29.998047666318755) < 1e-12
 dense = SystemLaw.dense(3, 4, np.random.default_rng(0).dirichlet(np.ones(81)))
 H = _lattice_entropies(dense)
 assert abs(H[0]) <= 1e-15 < H[-1]

@@ -176,6 +176,8 @@ def cmd_census(args) -> int:
 
 def cmd_maximize(args) -> int:
     measure = parse_family(args.family)
+    # the search's caps before the table, which leaves float range at large N
+    experiments._check_search_size(args.d, args.N)
     table = coefficient_table(measure, args.N)
     # without --penalty, the search's own default weight
     penalty = {} if args.penalty is None else {"penalty_weight": args.penalty}

@@ -9,10 +9,13 @@ and the uniform part is the Beta integral k!(N-k)!/(N+1)!.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+
+from .laws import CapExceededError
 
 MEASURE_TOL = 1e-12
 # How near an atom x must lie to be in a measure's support.
@@ -127,10 +130,19 @@ def coefficient_table(measure: MixingMeasure, N: int) -> CoefficientTable:
     """c^N_k = E((1-W)^(N-k) W^k) under the mixing measure, in closed form.
 
     The table is symmetrized (exactly) after assembly so that
-    c_k == c_{N-k} holds bit-for-bit despite rounding in 1-w.
+    c_k == c_{N-k} holds bit-for-bit despite rounding in 1-w.  Raises
+    ``CapExceededError`` when the table leaves float range: when (N+1) C(N,
+    N/2), the reciprocal of the smallest uniform-density coefficient, is
+    above the largest float, from N = 1020 on.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    # C(2048, 1024) > 2^2000: larger N are refused before the binomial
+    if (N.bit_length() > 11
+            or (N + 1) * math.comb(N, N // 2) > sys.float_info.max):
+        raise CapExceededError(
+            f"the coefficient table at N={N} leaves float range: (N+1) "
+            "C(N, N/2) is above the largest float")
     ks = np.arange(N + 1)
     c = np.zeros(N + 1)
     for w, m in measure.atoms:

@@ -18,8 +18,8 @@ from .coefficients import CoefficientTable, coefficient_table
 from .construction import (ConstructionSpec, m_from_target,
                            sample_sparse_system)
 from .laws import (CapExceededError, EntropyProfile, SystemLaw, _check_sizes,
-                   entropy, entropy_profile_exact, size_k_masks,
-                   subset_entropies)
+                   _check_subset_cap, entropy, entropy_profile_exact,
+                   size_k_masks, subset_entropies)
 from .profiles import deficit_report, ic_limit, ic_n, ideal_profile
 from .rng import SplitMix64
 
@@ -86,6 +86,9 @@ def convergence_sweep(families, d: int, x: float, N_list, seeds, *,
     """
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0,1)")
+    # every exact profile's cap, before any coefficient table or law
+    for N in N_list:
+        _check_subset_cap(N)
     families = list(families)
     records = []
     profiles = {}
@@ -252,6 +255,16 @@ def _intricacy_grad(p: np.ndarray, A, B, u, shift) -> np.ndarray:
     return grad.reshape(p.shape)
 
 
+def _check_search_size(d: int, N: int) -> None:
+    """``LawValidationError`` for a bad d or N, ``CapExceededError`` if
+    (d+1)^N > ``SEARCH_CAP_CELLS``."""
+    _check_sizes(d, N)
+    if N > SEARCH_CAP_CELLS.bit_length() or (d + 1)**N > SEARCH_CAP_CELLS:
+        raise CapExceededError(
+            f"dense search over (d+1)^N = {d + 1}^{N} lattice cells is above "
+            f"SEARCH_CAP_CELLS = {SEARCH_CAP_CELLS}")
+
+
 def maximizer_search(d: int, N: int, table: CoefficientTable, *,
                      restarts: int = 20, iterations: int = 200, seed: int = 0,
                      entropy_target: float | None = None,
@@ -268,11 +281,7 @@ def maximizer_search(d: int, N: int, table: CoefficientTable, *,
     ``ValueError`` unless ``restarts >= 1``, ``iterations >= 0``, the entropy
     target (if any) is in [0, 1] and the penalty weight is finite and >= 0.
     """
-    _check_sizes(d, N)
-    if N > SEARCH_CAP_CELLS.bit_length() or (d + 1)**N > SEARCH_CAP_CELLS:
-        raise CapExceededError(
-            f"dense search over (d+1)^N = {d + 1}^{N} lattice cells is above "
-            f"SEARCH_CAP_CELLS = {SEARCH_CAP_CELLS}")
+    _check_search_size(d, N)
     if table.N != N:
         raise ValueError("table size mismatch")
     if restarts < 1 or iterations < 0:

@@ -90,8 +90,9 @@ def _group_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
 class SystemLaw:
     """Probability measure on {0,...,d-1}^N, held as its nonzero support:
     ``configs`` (distinct rows in lexicographic order, coordinate 1 first)
-    and their weights ``probs``.  The sort-path keys of the support (see
-    :func:`subset_entropies`) are built on first use and kept with the law,
+    and their weights ``probs``.  The sort-path keys of the support, or of
+    its draws when its masses are counts (see :func:`subset_entropies`),
+    are built on first use and kept with the law,
     read-only, so every later kernel call and worker shares them.  Its 2^N
     subset entropies (:func:`all_subset_entropies`) are kept the same way,
     so every exact route shares one kernel run.
@@ -170,15 +171,43 @@ class SystemLaw:
 
     @cached_property
     def _keys(self) -> np.ndarray:
-        """Read-only (w, support) array of the support's key words: word i
-        holds coordinates bounds[i] .. bounds[i+1]-1 of
-        :func:`_key_layout`, the symbol of the j-th of them in bits
-        b*j .. b*j+b-1, b = bits(d - 1), in that function's one dtype."""
-        b = (self.d - 1).bit_length()
+        """Read-only (w, support) array of the support's key words, in the
+        word type and coordinate bounds of :func:`_key_layout`."""
         word, bounds = _key_layout(self.d, self.N, self.support_size)
-        place = word(1) << (word(b) * np.arange(bounds[1], dtype=word))
-        keys = np.stack([self.configs[:, lo:hi].astype(word) @ place[:hi - lo]
-                         for lo, hi in zip(bounds, bounds[1:])])
+        keys = _key_words(self.configs, self.d, word, bounds)
+        keys.setflags(write=False)
+        return keys
+
+    @cached_property
+    def _draws(self) -> np.ndarray | None:
+        """The count route's keys, or None for a law that takes the
+        weighted route (see :func:`subset_entropies`).
+
+        A law whose every mass is c_i / T, for integers c_i >= 1 and one
+        total T, is the empirical measure of T draws.  When ``C / T`` equals
+        ``probs`` bit for bit, T <= 2 * support and a key of b*N bits, b =
+        bits(d - 1), fits one 64-bit word, this is a read-only (1, T) array:
+        each support point's one-word key (uint32 up to 32 bits) repeated
+        c_i times.  T is read off the lightest mass as 1/T, so a law whose
+        lightest point was drawn more than once keeps the weighted route.
+        Built on first use by the sort path only."""
+        b, n = (self.d - 1).bit_length(), self.support_size
+        lightest = self.probs.min()
+        # T <= 2 * support, checked on the lightest mass (>= 1/T) before
+        # 1/lightest is formed, so subnormal masses cannot overflow it.
+        # A construction's T/support is ~1.58 at M = N, nearer 1 below.  On 2
+        # cores, against the weighted route, the count route took 0.55-0.9x
+        # at T/support = 2 on (2,16), (3,12) and (2,22) supports and 1.35x
+        # on a (2,12) one of 2600 points; at 4 it took 1.0-2.4x
+        if b * self.N > 64 or lightest * (2 * n) < 1.0:
+            return None
+        total = round(1.0 / lightest)
+        counts = np.rint(self.probs * total)
+        if not np.array_equal(counts / total, self.probs):
+            return None
+        word = np.uint32 if b * self.N <= 32 else np.uint64
+        keys = np.repeat(_key_words(self.configs, self.d, word, [0, self.N]),
+                         counts.astype(np.intp), axis=1)
         keys.setflags(write=False)
         return keys
 
@@ -193,11 +222,7 @@ class SystemLaw:
         transforms build new laws, so the array cannot go stale.  Raises
         :class:`CapExceededError`, and caches nothing, when N >
         ``SUBSET_CAP``."""
-        if self.N > SUBSET_CAP:
-            raise CapExceededError(
-                f"N={self.N} is above SUBSET_CAP = {SUBSET_CAP}; use "
-                "profile --sampled or entropy_profile_sampled for larger "
-                "systems")
+        _check_subset_cap(self.N)
         if (self.d + 1) ** self.N <= (1 << self.N) * self.support_size:
             H = _lattice_entropies(self)
         else:
@@ -416,6 +441,14 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _check_subset_cap(N: int) -> None:
+    """:class:`CapExceededError` when N > ``SUBSET_CAP``."""
+    if N > SUBSET_CAP:
+        raise CapExceededError(
+            f"N={N} is above SUBSET_CAP = {SUBSET_CAP}; use profile --sampled "
+            "or entropy_profile_sampled for larger systems")
+
+
 def _check_sizes(d: int, N: int) -> None:
     if not 2 <= d <= MAX_D:
         raise LawValidationError(f"alphabet size d must be in 2..{MAX_D}")
@@ -584,7 +617,18 @@ def _key_layout(d: int, N: int, n: int) -> tuple[type, list[int]]:
     return (np.uint32 if b * N + L <= 32 else np.uint64), bounds
 
 
-def _grouped_entropies(K: np.ndarray, probs: np.ndarray, fields=(),
+def _key_words(configs: np.ndarray, d: int, word: type,
+               bounds: list[int]) -> np.ndarray:
+    """(w, rows) array of the rows' key words in dtype ``word``: word i
+    holds coordinates bounds[i] .. bounds[i+1]-1, the symbol of the j-th of
+    them in bits b*j .. b*j+b-1, b = bits(d - 1).  Word 0 is the widest."""
+    b = (d - 1).bit_length()
+    place = word(1) << (word(b) * np.arange(bounds[1], dtype=word))
+    return np.stack([configs[:, lo:hi].astype(word) @ place[:hi - lo]
+                     for lo, hi in zip(bounds, bounds[1:])])
+
+
+def _grouped_entropies(K: np.ndarray, probs: np.ndarray | None, fields=(),
                        keys=()) -> np.ndarray:
     """Entropy of the weight distribution grouped by equal key, row-wise.
 
@@ -598,20 +642,25 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray, fields=(),
     in the L bits between it and the index, so its groups split the
     previous ones; rows whose mask holds none of its coordinates keep their
     groups.
+
+    ``probs`` is None when K's rows are draw keys (``SystemLaw._draws``):
+    they carry no index, and a group's mass is its run length / n.
     """
     m, n = K.shape
     word = K.dtype.type
-    shift = (n - 1).bit_length()
+    shift = 0 if probs is None else (n - 1).bit_length()
     low = word(1 << shift)
-    K <<= word(shift)
-    K |= np.arange(n, dtype=word)
+    if shift:
+        K <<= word(shift)
+        K |= np.arange(n, dtype=word)
     K.sort(axis=1)
     # sorted neighbours differ above the index bits iff their xor reaches them
     starts = np.empty((m, n), dtype=bool)
     starts[:, 0] = True
     np.greater_equal(np.bitwise_xor(K[:, 1:], K[:, :-1]), low,
                      out=starts[:, 1:])
-    order = np.bitwise_and(K, low - word(1), out=K)
+    # draw keys have one word and no index to keep
+    order = None if probs is None else np.bitwise_and(K, low - word(1), out=K)
     for f, k in zip(fields, keys):
         rows = slice(None) if f.all() else np.flatnonzero(f)
         # field, group rank and index of each point, in the last sort's order
@@ -627,9 +676,13 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray, fields=(),
         starts[rows, 1:] = np.bitwise_xor(Kw[:, 1:], Kw[:, :-1]) >= low
         order[rows] = np.bitwise_and(Kw, low - word(1), out=Kw)
     firsts = np.flatnonzero(starts)
-    # every index is below n: "clip" clips nothing, and skips the raise
-    # mode's cast of the index words to intp
-    sums = np.add.reduceat(np.take(probs, order.ravel(), mode="clip"), firsts)
+    if probs is None:
+        sums = np.diff(firsts, append=m * n) / n    # run length / T
+    else:
+        # every index is below n: "clip" clips nothing, and skips the raise
+        # mode's cast of the index words to intp
+        sums = np.add.reduceat(np.take(probs, order.ravel(), mode="clip"),
+                               firsts)
     sums *= -np.log(sums)               # group sums are > 0
     # reduceat sums each segment pairwise; row j's groups are one segment
     return np.add.reduceat(sums, np.searchsorted(firsts, np.arange(m) * n))
@@ -638,9 +691,13 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray, fields=(),
 def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
     """Sort path of :func:`subset_entropies` for an array of masks."""
     b = (law.d - 1).bit_length()
-    probs = law.probs
-    keys = law._keys
-    word, bounds = _key_layout(law.d, law.N, probs.size)
+    keys = law._draws
+    if keys is None:
+        probs, keys = law.probs, law._keys
+        bounds = _key_layout(law.d, law.N, probs.size)[1]
+    else:
+        probs, bounds = None, [0, law.N]
+    word = keys.dtype.type
     spans = list(zip(bounds, bounds[1:]))
     # each word's share of every mask; the fields of a word's coordinates
     # set all b bits of each coordinate the mask holds
@@ -655,8 +712,8 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
     # block size or the workers
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    chunk = max(1, min(4096, 2**20 // probs.size) // cores)
-    block = max(1, _SORT_BLOCK // probs.size)
+    chunk = max(1, min(4096, 2**20 // keys.shape[1]) // cores)
+    block = max(1, _SORT_BLOCK // keys.shape[1])
     starts = range(0, masks.size, chunk)
 
     def run(start):
@@ -722,6 +779,16 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     sequential sum misses by ~1e-11).  Every row is computed on its own, so
     the output is bit-identical at any chunk size, block size and worker
     count.
+    That is the *weighted* route.  A law whose masses are counts c_i / T
+    over one total, such as every construction, takes the *count* route
+    when ``C / T`` equals its masses bit for bit, T <= 2 * support and
+    b*N <= 64 (``SystemLaw._draws`` holds the rule): its rows are its T
+    draws, each point's one-word key repeated c_i times with no index, and
+    a group's mass is its run length / T, so there is no gather and no
+    per-key sum.  Chunks, pool and row blocks are the same, sized by T.
+    For d = 2^j the masses are dyadic, the weighted route's group sums
+    exact, and both routes give the same bits; for other d they differ by
+    about 1e-15 nats.
     Every law takes this path, whatever its file format or N.  The empty
     mask has entropy exactly 0.
     Raises ``TypeError`` for a mask that is not an integer and
@@ -828,11 +895,14 @@ def all_subset_entropies(law: SystemLaw) -> np.ndarray:
       d terms per step;
     - the *sort* path (the one :func:`subset_entropies` uses) groups the
       support by its projected configuration, mask by mask: about
-      2^N * support * log(support) work per key word.  Chunks of ~2^20 /
-      cores keys run on every CPU in the process's affinity set, and each
-      chunk is sorted in row blocks of at most ``_SORT_BLOCK`` (2^16) keys,
-      ~2 MB of temporaries per worker; the output is bit-identical at any
-      chunk size, block size and worker count.
+      2^N * support * log(support) work per key word.  A law whose masses
+      are counts c_i / T (a construction) sorts its T draws instead, one
+      word each, and reads group masses off run lengths: the count route
+      of :func:`subset_entropies`.  Chunks of ~2^20 / cores keys run on
+      every CPU in the process's affinity set, and each chunk is sorted in
+      row blocks of at most ``_SORT_BLOCK`` (2^16) keys, ~2 MB of
+      temporaries per worker; the output is bit-identical at any chunk
+      size, block size and worker count.
 
     The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
     high-support laws; the sort path otherwise, e.g. for the sparse
@@ -906,8 +976,14 @@ def entropy_profile_exact(law: SystemLaw) -> EntropyProfile:
     over all C(N,k) subsets of size k; h(0) = 0 exactly, also at N = 0."""
     N = law.N
     H = all_subset_entropies(law)
-    k = np.bitwise_count(np.arange(1 << N, dtype=np.uint32))  # uint8
-    sums = np.bincount(k, weights=H, minlength=N + 1)
+    # H summed by subset size over blocks of 2^16 masks: add.at adds in
+    # mask order, as one bincount would, without bincount's 2^N intp copy
+    # of the sizes
+    sums = np.zeros(N + 1)
+    for start in range(0, 1 << N, 1 << 16):
+        stop = min(start + (1 << 16), 1 << N)
+        k = np.bitwise_count(np.arange(start, stop, dtype=np.uint32))
+        np.add.at(sums, k, H[start:stop])
     counts = np.array([math.comb(N, j) for j in range(N + 1)], dtype=float)
     values = sums / counts
     values[1:] /= N * math.log(law.d)   # h(0) = 0 without 0 / (0 log d)

@@ -669,6 +669,21 @@ def test_maximize_cap_exit_3(capsys):
     assert "SEARCH_CAP_CELLS" in err and "3^13" in err
 
 
+@pytest.mark.parametrize("argv,cap", [
+    (["coeffs", "--family", "est", "--N", "1030"], "N=1030 leaves float range"),
+    (["sweep", "--d", "2", "--x", "0.5", "--N", "1100", "--seeds", "0"],
+     "SUBSET_CAP = 22"),
+    (["maximize", "--d", "2", "--N", "1100", "--seed", "0"],
+     "SEARCH_CAP_CELLS"),
+], ids=["coeffs", "sweep", "maximize"])
+def test_large_n_exits_3_before_the_coefficient_table(capsys, argv, cap):
+    # each cap is checked before the table, whose binomials leave float range
+    code, err = exit_code(capsys, argv)
+    assert code == 3
+    assert err.startswith("error: ") and cap in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("d,N", [("2", "12"), ("4", "3")])
 def test_maximize_runs_within_the_cell_cap(capsys, tmp_path, d, N):
     code, _, _ = run(capsys, "maximize", "--d", d, "--N", N, "--seed", "0",

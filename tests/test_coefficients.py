@@ -10,6 +10,7 @@ from intricacy import (CoefficientTable, MixingMeasure, coefficient_table,
                        uniform_measure, validate_coefficients)
 from intricacy.coefficients import (MeasureValidationError,
                                     TableValidationError, binomials)
+from intricacy.laws import CapExceededError
 
 
 # --- mixing measures -------------------------------------------------------
@@ -107,6 +108,18 @@ def test_table_size_validation():
 def test_coefficient_table_rejects_n_zero():
     with pytest.raises(ValueError):
         coefficient_table(est_measure(), 0)
+
+
+@pytest.mark.parametrize("measure", [est_measure(), uniform_measure(),
+                                     p_symmetric_measure(0.3)],
+                         ids=["est", "uniform", "p-sym"])
+def test_coefficient_table_refuses_to_leave_float_range(measure):
+    # (N+1) C(N, N/2) is a finite float up to N = 1019 and not from 1020 on
+    table = coefficient_table(measure, 1019)
+    assert np.all(np.isfinite(dn_law(table).p))
+    for N in (1020, 1030, 10**9):
+        with pytest.raises(CapExceededError, match=f"N={N} leaves float range"):
+            coefficient_table(measure, N)
 
 
 # --- the induced subset-size law ---------------------------------------------

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +286,26 @@ def test_profile_constant_system_zero():
     assert np.allclose(prof.values, 0.0)
 
 
+def test_exact_profile_sums_sizes_without_a_copy():
+    import tracemalloc
+    N = 18
+    law = diagonal_law(2, N)
+    H = all_subset_entropies(law)
+    tracemalloc.start()
+    try:
+        prof = entropy_profile_exact(law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2^16-mask blocks: no 2^N x 8-byte (2 MB) copy of the subset sizes
+    assert peak < 1 << 20
+    sizes = np.bitwise_count(np.arange(1 << N))
+    want = np.bincount(sizes, weights=H, minlength=N + 1)
+    assert np.array_equal(prof.values[1:],
+                          want[1:] / [math.comb(N, k) for k in range(1, N + 1)]
+                          / (N * LOG2))
+
+
 def test_profile_cap_raises():
     with pytest.raises(CapExceededError, match="SUBSET_CAP = 22"):
         entropy_profile_exact(point_mass(2, 23, [0] * 23))
@@ -550,9 +571,8 @@ def test_subset_entropies_wide_keys(d, N, words):
     assert np.array_equal([subset_entropy(law, m) for m in masks], got)
 
 
-def test_subset_entropies_large_support_matches_fsum():
+def _matches_fsum(law):
     # 65k support points: the row sum of -p log p must stay within 1e-12
-    law = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77))
     stream = it.SplitMix64(5)
     masks = [stream.sample_subset_mask(22, k) for k in range(1, 21)]
     configs, probs = law.support()
@@ -563,6 +583,122 @@ def test_subset_entropies_large_support_matches_fsum():
         marg = np.bincount(inv, weights=probs)
         want = math.fsum(-p * math.log(p) for p in marg.tolist())
         assert abs(got - want) <= 1e-12, (mask, got, want)
+
+
+def test_subset_entropies_large_support_matches_fsum():
+    # masses counts / 2^16: the count route
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77))
+    assert law._draws is not None
+    _matches_fsum(law)
+
+
+def test_weighted_route_large_support_matches_fsum():
+    # Dirichlet weights on the same rows are not counts, so they keep the
+    # weighted route and its pairwise sums of 65k gathered masses
+    rows = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77)).configs
+    weights = np.random.default_rng(22).dirichlet(np.ones(len(rows)))
+    law = SystemLaw.sparse(2, 22, rows, weights)
+    assert law._draws is None
+    _matches_fsum(law)
+
+
+def _weighted(law):
+    """A copy of ``law`` that takes the weighted route."""
+    copy = replace(law)
+    vars(copy)["_draws"] = None         # the cached route decision
+    return copy
+
+
+@pytest.mark.parametrize("spec", [
+    # a repeated draw (support < d^M), then none, per (d, N)
+    (2, 8, 4, 0), (2, 8, 4, 3), (2, 12, 6, 3), (2, 12, 6, 0),
+    (2, 16, 8, 2), (2, 16, 8, 0), (4, 8, 4, 1), (4, 8, 4, 0),
+    (4, 12, 6, 6), (4, 12, 6, 0), (4, 16, 4, 0)],
+    ids=lambda spec: "-".join(map(str, spec)))
+def test_count_route_is_bit_identical_for_powers_of_two(spec):
+    # every mass c/2^(jM) is dyadic, so the weighted route's group sums are
+    # exact and both routes take -s log s of the same floats in one order
+    law = it.sample_sparse_system(it.ConstructionSpec(*spec))
+    assert law._draws is not None
+    assert law._draws.shape == (1, spec[0] ** spec[2])
+    assert np.array_equal(laws._sorted_entropies(law),
+                          laws._sorted_entropies(_weighted(law)))
+
+
+def test_count_route_is_bit_identical_on_sampled_and_census_masks():
+    # large_n's law, its file read back, and a 64-bit (2,64,6) key, which
+    # the weighted route spreads over two words
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77))
+    read = SystemLaw.from_json(law.to_json())
+    wide = it.sample_sparse_system(it.ConstructionSpec(2, 64, 6, 1))
+    assert law._draws.dtype == np.uint32 and wide._draws.dtype == np.uint64
+    assert np.array_equal(read._draws, law._draws)
+    assert _weighted(wide)._keys.shape[0] == 2
+    for law in (law, wide):
+        N = law.N
+        sampled = entropy_profile_sampled(law, range(N + 1), 6, seed=8)
+        want = entropy_profile_sampled(_weighted(law), range(N + 1), 6, seed=8)
+        assert np.array_equal(sampled.values, want.values)
+        assert np.array_equal(sampled.stderr, want.stderr)
+        census = it.threshold_census(law, x=0.5, y=0.7, epsilon=0.1,
+                                     samples=40, seed=3)
+        assert census == it.threshold_census(_weighted(law), x=0.5, y=0.7,
+                                             epsilon=0.1, samples=40, seed=3)
+    masks = [full_mask(64), 1 << 63, (1 << 63) | 1, 0, 0xF0F0F0F0F0F0F0F0]
+    pmap = naive_pmap(wide)
+    want = [naive_subset_entropy(pmap, _keep(m, 64)) for m in masks]
+    assert np.allclose(laws.subset_entropies(wide, masks), want,
+                       rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [(3, 8, 4, 3), (3, 8, 4, 0), (3, 12, 6, 2),
+                                  (5, 8, 4, 0), (5, 8, 4, 1)],
+                         ids=lambda spec: "-".join(map(str, spec)))
+def test_count_route_for_other_alphabets(spec):
+    # masses c/d^M are rounded, so a group's mass n/T is rounded once where
+    # the weighted route rounds each addition
+    law = it.sample_sparse_system(it.ConstructionSpec(*spec))
+    assert law._draws is not None
+    H = laws._sorted_entropies(law)
+    weighted = laws._sorted_entropies(_weighted(law))
+    assert np.allclose(H, weighted, rtol=0.0, atol=1e-14)
+    pmap = naive_pmap(law)
+    some = np.arange(0, 1 << law.N, 1 if law.N <= 8 else 37)
+    want = [naive_subset_entropy(pmap, _keep(int(m), law.N)) for m in some]
+    assert np.allclose(H[some], want, rtol=0.0, atol=1e-12)
+
+
+def test_route_rule():
+    gen = np.random.default_rng(33)
+    # the sweep's and large_n's constructions take the count route
+    for spec in ((2, 8, 4, 1), (2, 12, 6, 1), (2, 16, 8, 1), (2, 22, 16, 7)):
+        assert it.sample_sparse_system(it.ConstructionSpec(*spec))._draws is not None
+    # the rest keep the weighted route: Dirichlet laws, dense or sparse ...
+    dense = [random_dense_law(gen, 2, 12), random_dense_law(gen, 3, 8)]
+    sparse = _random_law(gen, 2, 10, sparse=True)
+    # ... a law with subnormal masses, which must raise no warning ...
+    tiny = SystemLaw.sparse(2, 3, [[0, 0, 0], [1, 0, 1], [1, 1, 1]],
+                            [1.0, 5e-324, 1e-310])
+    # ... counts over T = 5 draws, above 2 * support ...
+    heavy = SystemLaw.sparse(2, 3, [[0, 0, 0], [1, 1, 0]], [0.2, 0.8])
+    # ... and the (2,70,16) construction, whose keys take 70 bits
+    wide = it.sample_sparse_system(it.ConstructionSpec(2, 70, 16, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for law in (*dense, sparse, tiny, heavy, wide):
+            assert law._draws is None
+            masks = [1, full_mask(law.N), 1 << (law.N - 1)]
+            pmap = naive_pmap(law)
+            want = [math.fsum(-p * math.log(p) for p in
+                              naive_marginal(pmap, _keep(m, law.N)).values())
+                    for m in masks]
+            assert np.allclose(laws.subset_entropies(law, masks), want,
+                               rtol=0.0, atol=1e-12)
+    # the same counts over T = 4 <= 2 * support take the count route
+    light = SystemLaw.sparse(2, 3, [[0, 0, 0], [1, 1, 0]], [0.25, 0.75])
+    assert light._draws.tolist() == [[0, 3, 3, 3]]
+    assert laws.subset_entropies(light, [1, 4]).tolist() == [
+        entropy(light), 0.0]
 
 
 def test_subset_entropies_out_of_range_masks():
@@ -706,40 +842,55 @@ def test_sort_block_size_does_not_change_entropies(monkeypatch):
                                      abs=1e-12)
 
 
+def _with_weights(law, seed):
+    """The law's rows with Dirichlet weights, which are not counts: the
+    weighted route."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(law.support_size))
+    return SystemLaw.sparse(law.d, law.N, law.configs, weights)
+
+
 def test_kernel_rows_stay_within_one_block(monkeypatch):
     # large_n's 4-mask calls at 65k support stay one inline chunk, now
     # sorted a row at a time; an exhaustive N=16 run on two cores never
-    # sorts more than a block of rows either
-    rows = []
+    # sorts more than a block of rows either.  On both routes: a count
+    # route row holds the T draws, a weighted one the support
+    blocks = []
     grouped = laws._grouped_entropies
 
-    def counting(K, *args):
-        rows.append(len(K))
-        return grouped(K, *args)
-
-    law = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77))
-    stream = it.SplitMix64(4)
-    masks = [stream.sample_subset_mask(22, k) for k in (2, 9, 16, 20)]
-    want = laws.subset_entropies(law, masks)
-    monkeypatch.setattr(laws.os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
+    def counting(K, probs, *args):
+        blocks.append((K.shape, probs is None))
+        return grouped(K, probs, *args)
 
     def refuse(*_):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(laws, "ThreadPoolExecutor", refuse)
-    monkeypatch.setattr(laws, "_grouped_entropies", counting)
-    assert np.array_equal(laws.subset_entropies(law, masks), want)
-    assert sum(rows) == 4
-    assert max(rows) == max(1, laws._SORT_BLOCK // law.support_size)
-    monkeypatch.undo()
+    big = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77))
     small = it.sample_sparse_system(it.ConstructionSpec(2, 16, 8, 5))
-    _pool_widths(monkeypatch, 2)
-    monkeypatch.setattr(laws, "_grouped_entropies", counting)
-    rows.clear()
-    all_subset_entropies(small)
-    block = laws._SORT_BLOCK // small.support_size
-    assert sum(rows) == 1 << 16 and max(rows) == block
+    stream = it.SplitMix64(4)
+    masks = [stream.sample_subset_mask(22, k) for k in (2, 9, 16, 20)]
+    for count, law in ((True, big), (False, _with_weights(big, 1))):
+        width = 1 << 16 if count else law.support_size
+        want = laws.subset_entropies(law, masks)
+        monkeypatch.setattr(laws.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr(laws, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(laws, "_grouped_entropies", counting)
+        blocks.clear()
+        assert np.array_equal(laws.subset_entropies(law, masks), want)
+        assert blocks == [((1, width), count)] * 4
+        assert laws._SORT_BLOCK // width == 1
+        monkeypatch.undo()
+    for count, law in ((True, small), (False, _with_weights(small, 2))):
+        width = 1 << 8 if count else law.support_size
+        _pool_widths(monkeypatch, 2)
+        monkeypatch.setattr(laws, "_grouped_entropies", counting)
+        blocks.clear()
+        all_subset_entropies(law)
+        monkeypatch.undo()
+        rows = [shape[0] for shape, _ in blocks]
+        assert sum(rows) == 1 << 16
+        assert max(rows) == laws._SORT_BLOCK // width
+        assert {(shape[1], route) for shape, route in blocks} == {(width, count)}
 
 
 def _counting_keys(monkeypatch):

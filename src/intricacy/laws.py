@@ -188,9 +188,10 @@ class SystemLaw:
         ``probs`` bit for bit, T <= 2 * support and a key of b*N bits, b =
         bits(d - 1), fits one 64-bit word, this is a read-only (1, T) array:
         each support point's one-word key (uint32 up to 32 bits) repeated
-        c_i times.  T is read off the lightest mass as 1/T, so a law whose
-        lightest point was drawn more than once keeps the weighted route.
-        Built on first use by the sort path only."""
+        c_i times.  T is read off the lightest mass as 1/T, in lowest
+        terms; that misses no law within the bound, as every c_i >= 2 in
+        lowest terms would make T > 2 * support.  Built on first use by the
+        sort path only."""
         b, n = (self.d - 1).bit_length(), self.support_size
         lightest = self.probs.min()
         # T <= 2 * support, checked on the lightest mass (>= 1/T) before

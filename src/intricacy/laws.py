@@ -86,14 +86,27 @@ def _group_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.n
     return rows[firsts], np.add.reduceat(weights[order], firsts)
 
 
+def _rows_increase(rows: np.ndarray) -> bool:
+    """Whether the rows of a C-ordered (n, N) uint8 array are strictly
+    increasing in lexicographic order, coordinate 1 first: distinct, and in
+    the order :func:`_group_rows` gives.  Each row is compared as one string
+    of N bytes, and numpy compares bytes unsigned."""
+    n, N = rows.shape
+    if N == 0:
+        return n <= 1
+    text = rows.view(f"S{N}").ravel()
+    return bool(np.all(text[1:] > text[:-1]))
+
+
 @dataclass(frozen=True)
 class SystemLaw:
     """Probability measure on {0,...,d-1}^N, held as its nonzero support:
     ``configs`` (distinct rows in lexicographic order, coordinate 1 first)
     and their weights ``probs``.  The sort-path keys of the support, or of
-    its draws when its masses are counts (see :func:`subset_entropies`),
-    are built on first use and kept with the law,
-    read-only, so every later kernel call and worker shares them.  Its 2^N
+    its draws and their table of -p log p terms when its masses are counts
+    (see :func:`subset_entropies`), are built on first use and kept with
+    the law, read-only, so every later kernel call and worker shares them.
+    Its 2^N
     subset entropies (:func:`all_subset_entropies`) are kept the same way,
     so every exact route shares one kernel run.
 
@@ -148,8 +161,11 @@ class SystemLaw:
                                  (kind != "f" or np.all(configs % 1 == 0))):
             raise LawValidationError(
                 f"configuration symbols must be integers in 0..{d - 1}")
-        configs = configs.astype(np.uint8).reshape(probs.size, N)
+        configs = configs.astype(np.uint8, order="C").reshape(probs.size, N)
         probs = _normalized(probs)
+        # rows already in file order are kept as they are given
+        if _rows_increase(configs):
+            return _support_law(d, N, "sparse", configs, probs)
         rows, weights = _group_rows(configs, probs)
         if weights.size != probs.size:
             raise LawValidationError("sparse support has duplicate configurations")
@@ -190,8 +206,10 @@ class SystemLaw:
         each support point's one-word key (uint32 up to 32 bits) repeated
         c_i times.  T is read off the lightest mass as 1/T, in lowest
         terms; that misses no law within the bound, as every c_i >= 2 in
-        lowest terms would make T > 2 * support.  Built on first use by the
-        sort path only."""
+        lowest terms would make T > 2 * support.  Beside it, ``_terms``
+        holds the route's T + 1 values of -p log p, p = c / T, at most
+        twice these keys' bytes.  Built on first use by the sort path
+        only."""
         b, n = (self.d - 1).bit_length(), self.support_size
         lightest = self.probs.min()
         # T <= 2 * support, checked on the lightest mass (>= 1/T) before
@@ -211,6 +229,24 @@ class SystemLaw:
                          counts.astype(np.intp), axis=1)
         keys.setflags(write=False)
         return keys
+
+    @cached_property
+    def _terms(self) -> np.ndarray:
+        """The count route's table: read-only ``terms[c]`` = -p log p of a
+        group of c of the law's T draws, p = c / T, for c = 0..T (0.0 at c
+        = 0, which no group has), so a group's term is looked up by its run
+        length.  Each entry is taken by the two float operations the route
+        would apply to the group, ``p = c / T`` and ``p * -log(p)``, so
+        every term keeps its bits; the c = T entry is -0.0.  T + 1 floats,
+        2 KB at T = 256 and 512 KB at T = 65,536: never more than twice
+        the bytes of ``_draws``, as T <= 2 * support.  Built on first use
+        by the count route only."""
+        T = self._draws.shape[1]
+        terms = np.zeros(T + 1)
+        p = np.divide(np.arange(1, T + 1), T, out=terms[1:])
+        p *= -np.log(p)
+        terms.setflags(write=False)
+        return terms
 
     @cached_property
     def _entropies(self) -> np.ndarray:
@@ -315,8 +351,9 @@ def _read_support(text: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
     :func:`_support_text` writes its symbols and masses back to exactly its
     bytes, so every value read is the one ``json`` would read; any other
     block gives None.  No Python object is built per entry, and the text is
-    never copied whole: the rows go straight into arrays sized by the count
-    of entry boundaries.  The law itself is checked by the caller."""
+    never copied whole: each block's rows go into arrays of its own, which
+    its own length bounds, and these are joined once at the end.  The law
+    itself is checked by the caller."""
     if not (isinstance(text, str) and text.isascii()):
         return None
     head = _SUPPORT_HEAD.match(text)
@@ -324,30 +361,23 @@ def _read_support(text: str) -> tuple[int, int, np.ndarray, np.ndarray] | None:
         return None
     d, N = int(head[1]), int(head[2])
     stop = len(text) - (text.endswith("\n") + 2)
-    n = text.count("}, {") + 1
     if (head[0] != f'{{"d": {d}, "N": {N}, "support": ['
             or not text.startswith("]}", stop) or not 2 <= d <= MAX_D
-            or head.end() >= stop or n * N > len(text)):
+            or head.end() >= stop):
         return None
-    configs = np.empty((n, N), dtype=np.uint8)
-    probs = np.empty(n)
-    row, start = 0, head.end()
+    configs, probs = [], []
+    start = head.end()
     while start < stop:
         cut = text.find("}, {", min(start + _READ_BLOCK, stop), stop)
         end = stop if cut < 0 else cut + 1
         block = text[start:end].encode("ascii")
         entries = _parse_entries(block, d, N)
-        if entries is None:
+        if entries is None or b"".join(_support_text(d, *entries)) != block:
             return None
-        rows, masses = entries
-        k = masses.size
-        if row + k > n or b"".join(_support_text(d, rows, masses)) != block:
-            return None
-        configs[row:row + k] = rows
-        probs[row:row + k] = masses
-        row += k
+        configs.append(entries[0])
+        probs.append(entries[1])
         start = end + len(", ")
-    return (d, N, configs, probs) if row == n else None
+    return d, N, np.concatenate(configs), np.concatenate(probs)
 
 
 def _parse_entries(block: bytes, d: int, N: int
@@ -630,7 +660,7 @@ def _key_words(configs: np.ndarray, d: int, word: type,
 
 
 def _grouped_entropies(K: np.ndarray, probs: np.ndarray | None, fields=(),
-                       keys=()) -> np.ndarray:
+                       keys=(), terms: np.ndarray | None = None) -> np.ndarray:
     """Entropy of the weight distribution grouped by equal key, row-wise.
 
     K is (n_masks, n_support), uint32 or uint64; row j holds the first key
@@ -645,7 +675,10 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray | None, fields=(),
     groups.
 
     ``probs`` is None when K's rows are draw keys (``SystemLaw._draws``):
-    they carry no index, and a group's mass is its run length / n.
+    they carry no index, so a group starts wherever a sorted key differs
+    from the one before, and a group of c draws adds ``terms[c]``
+    (``SystemLaw._terms``), a gather from one per-law table in place of a
+    division and a log per group.  No row sum is -0.0.
     """
     m, n = K.shape
     word = K.dtype.type
@@ -655,13 +688,16 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray | None, fields=(),
         K <<= word(shift)
         K |= np.arange(n, dtype=word)
     K.sort(axis=1)
-    # sorted neighbours differ above the index bits iff their xor reaches them
     starts = np.empty((m, n), dtype=bool)
     starts[:, 0] = True
-    np.greater_equal(np.bitwise_xor(K[:, 1:], K[:, :-1]), low,
-                     out=starts[:, 1:])
-    # draw keys have one word and no index to keep
-    order = None if probs is None else np.bitwise_and(K, low - word(1), out=K)
+    if probs is None:
+        np.not_equal(K[:, 1:], K[:, :-1], out=starts[:, 1:])
+    else:
+        # sorted neighbours differ above the index bits iff their xor
+        # reaches them
+        np.greater_equal(np.bitwise_xor(K[:, 1:], K[:, :-1]), low,
+                         out=starts[:, 1:])
+        order = np.bitwise_and(K, low - word(1), out=K)
     for f, k in zip(fields, keys):
         rows = slice(None) if f.all() else np.flatnonzero(f)
         # field, group rank and index of each point, in the last sort's order
@@ -678,26 +714,32 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray | None, fields=(),
         order[rows] = np.bitwise_and(Kw, low - word(1), out=Kw)
     firsts = np.flatnonzero(starts)
     if probs is None:
-        sums = np.diff(firsts, append=m * n) / n    # run length / T
+        runs = np.empty_like(firsts)    # run lengths, 1..T
+        np.subtract(firsts[1:], firsts[:-1], out=runs[:-1])
+        runs[-1] = m * n - firsts[-1]
+        sums = np.take(terms, runs, mode="clip")
     else:
         # every index is below n: "clip" clips nothing, and skips the raise
         # mode's cast of the index words to intp
         sums = np.add.reduceat(np.take(probs, order.ravel(), mode="clip"),
                                firsts)
-    sums *= -np.log(sums)               # group sums are > 0
-    # reduceat sums each segment pairwise; row j's groups are one segment
-    return np.add.reduceat(sums, np.searchsorted(firsts, np.arange(m) * n))
+        sums *= -np.log(sums)           # group sums are > 0
+    # reduceat sums each segment pairwise; row j's groups are one segment.
+    # A point mass's row adds 1 * -log 1 = -0.0 alone
+    H = np.add.reduceat(sums, np.searchsorted(firsts, np.arange(m) * n))
+    H += 0.0
+    return H
 
 
 def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
     """Sort path of :func:`subset_entropies` for an array of masks."""
     b = (law.d - 1).bit_length()
-    keys = law._draws
+    keys, terms = law._draws, None
     if keys is None:
         probs, keys = law.probs, law._keys
         bounds = _key_layout(law.d, law.N, probs.size)[1]
     else:
-        probs, bounds = None, [0, law.N]
+        probs, bounds, terms = None, [0, law.N], law._terms
     word = keys.dtype.type
     spans = list(zip(bounds, bounds[1:]))
     # each word's share of every mask; the fields of a word's coordinates
@@ -736,7 +778,7 @@ def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
             rows = slice(at, min(at + block, len(K)))
             out[start + at:start + rows.stop] = _grouped_entropies(
                 K[rows], probs, [fields[i][rows] for i in later],
-                [keys[i] for i in later])
+                [keys[i] for i in later], terms)
 
     workers = min(cores, len(starts))
     if workers <= 1:
@@ -785,13 +827,16 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     when ``C / T`` equals its masses bit for bit, T <= 2 * support and
     b*N <= 64 (``SystemLaw._draws`` holds the rule): its rows are its T
     draws, each point's one-word key repeated c_i times with no index, and
-    a group's mass is its run length / T, so there is no gather and no
-    per-key sum.  Chunks, pool and row blocks are the same, sized by T.
+    a group of c draws adds the c-th of T + 1 values -p log p, p = c / T,
+    taken from a table built once per law (``SystemLaw._terms``; 2 KB at
+    T = 256, 512 KB at T = 65,536, never more than twice the draw keys'
+    bytes), so there is no gather of masses, no per-key sum and no
+    per-group log.  Chunks, pool and row blocks are the same, sized by T.
     For d = 2^j the masses are dyadic, the weighted route's group sums
     exact, and both routes give the same bits; for other d they differ by
     about 1e-15 nats.
     Every law takes this path, whatever its file format or N.  The empty
-    mask has entropy exactly 0.
+    mask has entropy exactly 0, and no entropy is -0.0.
     Raises ``TypeError`` for a mask that is not an integer and
     ``IndexError`` for a mask outside 0..2^N - 1.
     """
@@ -898,8 +943,10 @@ def all_subset_entropies(law: SystemLaw) -> np.ndarray:
       support by its projected configuration, mask by mask: about
       2^N * support * log(support) work per key word.  A law whose masses
       are counts c_i / T (a construction) sorts its T draws instead, one
-      word each, and reads group masses off run lengths: the count route
-      of :func:`subset_entropies`.  Chunks of ~2^20 / cores keys run on
+      word each, and looks each group's -p log p up by its run length in
+      a per-law table of T + 1 terms (at most twice the draw keys' bytes):
+      the count route of :func:`subset_entropies`.  Chunks of ~2^20 /
+      cores keys run on
       every CPU in the process's affinity set, and each chunk is sorted in
       row blocks of at most ``_SORT_BLOCK`` (2^16) keys, ~2 MB of
       temporaries per worker; the output is bit-identical at any chunk
@@ -908,7 +955,7 @@ def all_subset_entropies(law: SystemLaw) -> np.ndarray:
     The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
     high-support laws; the sort path otherwise, e.g. for the sparse
     constructions with support d^M << d^N.  On both paths the empty set
-    has entropy exactly 0.  Raises :class:`CapExceededError` when N >
+    has entropy exactly 0, and no entropy is -0.0.  Raises :class:`CapExceededError` when N >
     ``SUBSET_CAP`` (checked by ``SystemLaw._entropies`` before either path
     runs); use :func:`entropy_profile_sampled` for larger systems.
 

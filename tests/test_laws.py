@@ -114,6 +114,45 @@ def test_sparse_rows_are_lexicographic_at_d3_n41():
     assert sorted(map(tuple, configs.tolist())) == list(map(tuple, law.configs.tolist()))
 
 
+@pytest.mark.parametrize("d,N", [(3, 9), (256, 3), (2, 70)])
+def test_sparse_rows_in_file_order_give_the_shuffled_law(d, N):
+    # rows already in lexicographic order are kept as given; the same rows
+    # shuffled are sorted into that law.  d = 256 puts symbols above 127
+    gen = np.random.default_rng(d + N)
+    rows = gen.integers(0, d, size=(300, N), dtype=np.uint8)
+    rows[:150, :N - 2] = 0              # rows that differ only at the end
+    rows = np.unique(rows, axis=0)
+    probs = gen.dirichlet(np.ones(len(rows)))
+    order = gen.permutation(len(rows))
+    kept = SystemLaw.sparse(d, N, rows, probs)
+    shuffled = SystemLaw.sparse(d, N, rows[order], probs[order])
+    assert kept.configs.tobytes() == shuffled.configs.tobytes() == rows.tobytes()
+    assert kept.probs.tobytes() == shuffled.probs.tobytes() == probs.tobytes()
+    # a repeated row raises whether or not the rows are otherwise in order
+    dup = np.insert(rows, 7, rows[7], axis=0)
+    masses = np.full(len(dup), 1 / len(dup))
+    for perm in (np.arange(len(dup)), gen.permutation(len(dup))):
+        with pytest.raises(LawValidationError, match="duplicate"):
+            SystemLaw.sparse(d, N, dup[perm], masses)
+
+
+def test_reading_a_construct_file_sorts_no_rows(monkeypatch, tmp_path):
+    # the file's rows are written in order, so reading it sorts nothing
+    from intricacy.cli import main
+    dest = tmp_path / "law.json"
+    assert main(["construct", "--d", "2", "--N", "22", "--M", "16",
+                 "--seed", "77", "--out", str(dest)]) == 0
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77))
+
+    def refuse(*_):
+        raise AssertionError("np.lexsort called")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    back = SystemLaw.from_json(dest.read_text())
+    assert back.configs.tobytes() == law.configs.tobytes()
+    assert back.probs.tobytes() == law.probs.tobytes()
+
+
 @given(d=st.sampled_from([2, 3, 5]), N=st.integers(0, 4),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
@@ -701,6 +740,73 @@ def test_route_rule():
         entropy(light), 0.0]
 
 
+def _draw_reference(law, T, masks):
+    """Each mask's entropy from the law's T draws: the masked draws are
+    grouped by ``np.unique``, in the kernel's key order (the last kept
+    coordinate most significant), each group of c draws adds (c / T) *
+    -log(c / T), and a row's terms are added as ``np.add.reduceat`` adds
+    a segment: its first term plus the pairwise ``np.add.reduce`` of the
+    rest (``np.add.reduce`` of the whole row pairs the terms otherwise)."""
+    counts = np.rint(law.probs * T).astype(np.intp)
+    assert counts.sum() == T
+    draws = np.repeat(law.configs, counts, axis=0).astype(np.int64)
+    out = []
+    for mask in masks:
+        keep = list(_keep(int(mask), law.N))
+        _, c = np.unique(draws[:, keep] @ law.d ** np.arange(len(keep)),
+                         return_counts=True)
+        p = c / T
+        terms = p * -np.log(p)
+        out.append(terms[0] + np.add.reduce(terms[1:]) + 0.0)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("spec", [
+    # T = 1 and 2, then multi-row blocks of T = 16 to 729 draws
+    (2, 5, 0, 0), (3, 4, 0, 1), (2, 6, 1, 3), (2, 8, 4, 2), (2, 16, 8, 6),
+    (3, 8, 4, 3), (3, 12, 6, 2), (5, 6, 2, 0), (5, 8, 4, 1)],
+    ids=lambda spec: "-".join(map(str, spec)))
+def test_count_route_matches_draw_reference_bit_for_bit(spec):
+    d, N, M, _ = spec
+    law = it.sample_sparse_system(it.ConstructionSpec(*spec))
+    assert law._draws is not None and law._draws.shape == (1, d**M)
+    H = laws._sorted_entropies(law)
+    some = np.arange(0, 1 << N, 1 if N <= 12 else 7)
+    assert np.array_equal(H[some], _draw_reference(law, d**M, some))
+
+
+def test_count_route_matches_draw_reference_on_one_row_blocks():
+    # large_n's shape: T = 65,536 draws, one row a block, 4 masks a call
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 22, 16, 77))
+    assert laws._SORT_BLOCK // law._draws.shape[1] == 1
+    stream = it.SplitMix64(23)
+    masks = [stream.sample_subset_mask(22, k) for k in range(1, 23)]
+    masks += [0, full_mask(22)]
+    got = np.concatenate([laws.subset_entropies(law, masks[i:i + 4])
+                          for i in range(0, len(masks), 4)])
+    assert np.array_equal(got, _draw_reference(law, 1 << 16, masks))
+
+
+def test_no_entropy_is_negative_zero(monkeypatch):
+    # a point-mass marginal's one term is 1 * -log 1 = -0.0: on the count
+    # route, the weighted route, at T = 1 and on the lattice path
+    rows = [[0, 0, 0], [0, 0, 1]]
+    count = SystemLaw.sparse(2, 3, rows, [0.5, 0.5])
+    weighted = SystemLaw.sparse(2, 3, rows, [0.3, 0.7])
+    single = point_mass(2, 4, [0, 1, 0, 1])
+    assert count._draws is not None and weighted._draws is None
+    assert single._draws.shape == (1, 1)
+    for law, zeros in ((count, 4), (weighted, 4), (single, 16)):
+        assert _kernel_path(monkeypatch, law) == ["_sorted_entropies"]
+        monkeypatch.undo()
+        masks = np.arange(1 << law.N)
+        for H in (all_subset_entropies(law), laws._sorted_entropies(law),
+                  laws.subset_entropies(law, masks),
+                  laws._lattice_entropies(law)):
+            assert np.count_nonzero(H == 0.0) == zeros
+            assert not np.signbit(H).any()
+
+
 def test_subset_entropies_out_of_range_masks():
     law = diagonal_law(2, 2)
     for bad in (0b100, -1, 2**70):
@@ -857,9 +963,11 @@ def test_kernel_rows_stay_within_one_block(monkeypatch):
     blocks = []
     grouped = laws._grouped_entropies
 
-    def counting(K, probs, *args):
+    def counting(K, probs, fields, keys, terms):
+        # the count route reads its groups' terms from the law's table
+        assert (terms is None) == (probs is not None)
         blocks.append((K.shape, probs is None))
-        return grouped(K, probs, *args)
+        return grouped(K, probs, fields, keys, terms)
 
     def refuse(*_):
         raise AssertionError("a pool was started")
@@ -893,9 +1001,10 @@ def test_kernel_rows_stay_within_one_block(monkeypatch):
         assert {(shape[1], route) for shape, route in blocks} == {(width, count)}
 
 
-def _counting_keys(monkeypatch):
-    """Count how often the law's support keys are built."""
-    prop = SystemLaw.__dict__["_keys"]
+def _counting_keys(monkeypatch, name="_keys"):
+    """Count how often the law's support keys (or another cached array,
+    ``name``) are built."""
+    prop = SystemLaw.__dict__[name]
     original = prop.func
     builds = []
 
@@ -951,6 +1060,41 @@ def test_wide_keys_are_built_once_per_law(monkeypatch):
     for m, h in zip(masks, first):
         assert h == pytest.approx(naive_subset_entropy(pmap, _keep(m, 70)),
                                   abs=1e-12)
+
+
+def test_draw_term_table_is_built_once_per_law(monkeypatch):
+    # no table exists at import time: the module holds no array
+    assert not [name for name, value in vars(laws).items()
+                if isinstance(value, np.ndarray)]
+    law = it.sample_sparse_system(it.ConstructionSpec(2, 16, 8, 2))
+    # a Dirichlet twin (weighted route), a dense law and a construction
+    # whose exhaustive run takes the lattice path
+    others = [_with_weights(law, 3), random_dense_law(np.random.default_rng(4), 2, 8),
+              it.sample_sparse_system(it.ConstructionSpec(2, 8, 8, 0))]
+    assert _kernel_path(monkeypatch, others[2]) == ["_lattice_entropies"]
+    monkeypatch.undo()
+    builds = _counting_keys(monkeypatch, "_terms")
+    stream = it.SplitMix64(6)
+    for _ in range(3):
+        laws.subset_entropies(law, [stream.sample_subset_mask(16, k)
+                                    for k in (1, 8, 15)])
+    all_subset_entropies(law)
+    terms = law._terms
+    laws.subset_entropies(others[0], [1, full_mask(16)])
+    for other in others:
+        all_subset_entropies(other)
+    assert builds == [law]
+    assert law._terms is terms
+    assert all("_terms" not in vars(other) for other in others)
+    assert "_draws" not in vars(others[2])
+    with pytest.raises(ValueError):
+        terms[1] = 1.0                  # shared read-only by every call
+    # T + 1 terms, each p * -log p of p = c / T, with its sign: -0.0 at c = T
+    T = law._draws.shape[1]
+    p = np.arange(1, T + 1) / T
+    assert terms.shape == (T + 1,) and terms[0] == 0.0
+    assert terms[1:].tobytes() == (p * -np.log(p)).tobytes()
+    assert np.signbit(terms[T])
 
 
 def test_sort_path_never_groups_rows(monkeypatch):

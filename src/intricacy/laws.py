@@ -106,9 +106,8 @@ class SystemLaw:
     its draws and their table of -p log p terms when its masses are counts
     (see :func:`subset_entropies`), are built on first use and kept with
     the law, read-only, so every later kernel call and worker shares them.
-    Its 2^N
-    subset entropies (:func:`all_subset_entropies`) are kept the same way,
-    so every exact route shares one kernel run.
+    Its 2^N subset entropies (:func:`all_subset_entropies`) are kept the
+    same way, so every exact route shares one kernel run.
 
     ``kind`` only names the law-file format :meth:`to_json` writes: "dense"
     (the flat table of d^N probabilities in mixed-radix order) or "sparse"
@@ -725,10 +724,9 @@ def _grouped_entropies(K: np.ndarray, probs: np.ndarray | None, fields=(),
                                firsts)
         sums *= -np.log(sums)           # group sums are > 0
     # reduceat sums each segment pairwise; row j's groups are one segment.
-    # A point mass's row adds 1 * -log 1 = -0.0 alone
-    H = np.add.reduceat(sums, np.searchsorted(firsts, np.arange(m) * n))
-    H += 0.0
-    return H
+    # A point mass's row is 1 * -log 1 = -0.0 alone, and + 0.0 gives 0.0
+    row_starts = np.searchsorted(firsts, np.arange(m) * n)
+    return np.add.reduceat(sums, row_starts) + 0.0
 
 
 def _keyed_entropies(law: SystemLaw, masks: np.ndarray) -> np.ndarray:
@@ -946,18 +944,18 @@ def all_subset_entropies(law: SystemLaw) -> np.ndarray:
       word each, and looks each group's -p log p up by its run length in
       a per-law table of T + 1 terms (at most twice the draw keys' bytes):
       the count route of :func:`subset_entropies`.  Chunks of ~2^20 /
-      cores keys run on
-      every CPU in the process's affinity set, and each chunk is sorted in
-      row blocks of at most ``_SORT_BLOCK`` (2^16) keys, ~2 MB of
-      temporaries per worker; the output is bit-identical at any chunk
-      size, block size and worker count.
+      cores keys run on every CPU in the process's affinity set, and each
+      chunk is sorted in row blocks of at most ``_SORT_BLOCK`` (2^16)
+      keys, ~2 MB of temporaries per worker; the output is bit-identical
+      at any chunk size, block size and worker count.
 
     The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
     high-support laws; the sort path otherwise, e.g. for the sparse
     constructions with support d^M << d^N.  On both paths the empty set
-    has entropy exactly 0, and no entropy is -0.0.  Raises :class:`CapExceededError` when N >
-    ``SUBSET_CAP`` (checked by ``SystemLaw._entropies`` before either path
-    runs); use :func:`entropy_profile_sampled` for larger systems.
+    has entropy exactly 0, and no entropy is -0.0.  Raises
+    :class:`CapExceededError` when N > ``SUBSET_CAP`` (checked by
+    ``SystemLaw._entropies`` before either path runs); use
+    :func:`entropy_profile_sampled` for larger systems.
 
     The kernel runs once per law: its output is cached on the law
     (``SystemLaw._entropies``), and every call, and so every exact route

@@ -854,7 +854,7 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
 def _sorted_entropies(law: SystemLaw) -> np.ndarray:
     """Sort path of :func:`all_subset_entropies`."""
     out = _keyed_entropies(law, np.arange(1 << law.N))
-    out[0] = 0.0                        # the empty set, not -0.0 or -1e-16
+    out[0] = 0.0                        # the empty set, not -s log s of the total s
     return out
 
 

@@ -99,16 +99,21 @@ def parse_family(shorthand: str) -> MixingMeasure:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Coefficients c^N_k for k = 0..N of an intricacy at size N."""
+    """Coefficients c^N_k for k = 0..N of an intricacy at size N, and the
+    law of D_N, p_k = C(N,k) c^N_k, that every profile route weighs by:
+    both read-only, ``p`` formed once here."""
 
     N: int
     c: np.ndarray
+    p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
         if self.c.size != self.N + 1:
             raise TableValidationError("table needs N+1 coefficients")
+        object.__setattr__(self, "p", self.c * binomials(self.N))
         self.c.setflags(write=False)
+        self.p.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -160,10 +165,9 @@ def binomials(N: int) -> np.ndarray:
 
 
 def dn_law(table: CoefficientTable) -> DnLaw:
-    p = table.c * binomials(table.N)
-    if np.any(p < 0) or abs(p.sum() - 1.0) > MEASURE_TOL:
+    if np.any(table.p < 0) or abs(table.p.sum() - 1.0) > MEASURE_TOL:
         raise TableValidationError("coefficient table does not induce a law")
-    return DnLaw(table.N, p)
+    return DnLaw(table.N, table.p)
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ def sample_sparse_system(spec: ConstructionSpec) -> SystemLaw:
     draws = d**M
     rows = SplitMix64(spec.seed).randbelow_array(d, draws * N)
     rows = rows.astype(np.uint8, copy=False).reshape(draws, N)
-    configs, counts = _group_rows(rows, np.ones(draws))
+    configs, counts = _group_rows(rows, np.ones(draws), d)
     return _support_law(d, N, "sparse", configs, counts / draws)
 
 

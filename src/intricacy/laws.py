@@ -71,26 +71,28 @@ def indices_to_mask(indices) -> int:
     return mask
 
 
-def _group_rows(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a (n, N) uint8 array in lexicographic order,
-    coordinate 1 first, and the summed weight of each.  Rows are compared
-    symbol by symbol, so nothing overflows whatever d^N is."""
-    n, N = rows.shape
-    # lexsort's last key is the primary one
-    order = np.lexsort(rows.T[::-1]) if N else np.arange(n)
-    rows = rows[order]
-    starts = np.empty(n, dtype=bool)
+def _group_rows(rows: np.ndarray, weights: np.ndarray,
+                d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (n, N) uint8 array of symbols in 0..d-1, in
+    lexicographic order, coordinate 1 first, and the summed weight of each,
+    grouped by the rows' packed words (:func:`_key_words`)."""
+    # reversed columns put coordinate 1 in the top bits of the last word,
+    # lexsort's primary key; the sort is stable, so sums keep row order
+    words = _key_words(rows[:, ::-1], d, *_key_layout(d, rows.shape[1], 1))
+    order = np.lexsort(words)
+    starts = np.zeros(len(rows), dtype=bool)
     starts[0] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+    for w in words[:, order]:
+        starts[1:] |= w[1:] != w[:-1]
     firsts = np.flatnonzero(starts)
-    return rows[firsts], np.add.reduceat(weights[order], firsts)
+    return rows[order[firsts]], np.add.reduceat(weights[order], firsts)
 
 
 def _rows_increase(rows: np.ndarray) -> bool:
     """Whether the rows of a C-ordered (n, N) uint8 array are strictly
-    increasing in lexicographic order, coordinate 1 first: distinct, and in
-    the order :func:`_group_rows` gives.  Each row is compared as one string
-    of N bytes, and numpy compares bytes unsigned."""
+    increasing in lexicographic order, coordinate 1 first, so that
+    :func:`_group_rows` would leave them as they are.  Each row is compared
+    as one string of N bytes, and numpy compares bytes unsigned."""
     n, N = rows.shape
     if N == 0:
         return n <= 1
@@ -165,7 +167,7 @@ class SystemLaw:
         # rows already in file order are kept as they are given
         if _rows_increase(configs):
             return _support_law(d, N, "sparse", configs, probs)
-        rows, weights = _group_rows(configs, probs)
+        rows, weights = _group_rows(configs, probs, d)
         if weights.size != probs.size:
             raise LawValidationError("sparse support has duplicate configurations")
         return _support_law(d, N, "sparse", rows, weights)
@@ -489,9 +491,10 @@ def _check_sizes(d: int, N: int) -> None:
 def _support_law(d: int, N: int, kind: str, rows: np.ndarray,
                  weights: np.ndarray) -> SystemLaw:
     """The law of ``kind`` on distinct rows in lexicographic order, as
-    :func:`_group_rows` gives them, without the rows of zero weight."""
+    :func:`_group_rows` gives them, without the rows of zero weight.  The
+    rows are copied only when some weight is 0; the weights always are."""
     keep = weights > 0.0
-    law = SystemLaw(d, N, kind, rows[keep], weights[keep])
+    law = SystemLaw(d, N, kind, rows if keep.all() else rows[keep], weights[keep])
     law.configs.setflags(write=False)
     law.probs.setflags(write=False)
     return law
@@ -601,7 +604,7 @@ def marginal(law: SystemLaw, mask: int) -> SystemLaw:
     """Pushforward of the law under projection onto the coordinates in
     ``mask``; keeps the law's file format (``kind``)."""
     keep = mask_to_indices(mask, law.N)
-    configs, probs = _group_rows(law.configs[:, keep], law.probs)
+    configs, probs = _group_rows(law.configs[:, keep], law.probs, law.d)
     return _support_law(law.d, len(keep), law.kind, configs, probs)
 
 
@@ -651,11 +654,16 @@ def _key_words(configs: np.ndarray, d: int, word: type,
                bounds: list[int]) -> np.ndarray:
     """(w, rows) array of the rows' key words in dtype ``word``: word i
     holds coordinates bounds[i] .. bounds[i+1]-1, the symbol of the j-th of
-    them in bits b*j .. b*j+b-1, b = bits(d - 1).  Word 0 is the widest."""
+    them in bits b*j .. b*j+b-1, b = bits(d - 1).  Word 0 is the widest.
+    The package's one row packer: one uint8 column at a time is shifted and
+    or-ed into its word, so no (rows, coordinates) array of words is made."""
     b = (d - 1).bit_length()
-    place = word(1) << (word(b) * np.arange(bounds[1], dtype=word))
-    return np.stack([configs[:, lo:hi].astype(word) @ place[:hi - lo]
-                     for lo, hi in zip(bounds, bounds[1:])])
+    words = np.zeros((len(bounds) - 1, len(configs)), dtype=word)
+    column = np.empty(len(configs), dtype=word)
+    for w, lo, hi in zip(words, bounds, bounds[1:]):
+        for j in range(hi - lo):
+            w |= np.left_shift(configs[:, lo + j], word(b * j), out=column)
+    return words
 
 
 def _grouped_entropies(K: np.ndarray, probs: np.ndarray | None, fields=(),
@@ -795,13 +803,10 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     allowed), in the shape of ``masks``.
 
     The support is keyed by bit fields: with b = bits(d - 1), symbol
-    x_{i+1} sits in bits b*i .. b*i+b-1 of one integer, and the key under
-    mask S is that integer and-ed with S's fields (all b bits of each
-    coordinate in S; for d = 2, S itself).  Like base-d digits these keys
-    put coordinate N most significant, so they sort in lexicographic order.
-    The integer is held as key words (:func:`_key_layout`): one word when
-    width = b*N + bits(support - 1) <= 63, in uint32 up to 32 bits and
-    uint64 beyond, and more uint64 words for larger N.  The support's words
+    x_{i+1} sits in bits b*i .. b*i+b-1 of one integer, held as the key
+    words of :func:`_key_words` in the layout of :func:`_key_layout`, and
+    the key under mask S is that integer and-ed with S's fields (all b bits
+    of each coordinate in S; for d = 2, S itself).  The support's words
     are built on the law's first call and kept with it, read-only, so later
     calls and every worker share them.
     Masks go ``max(1, min(4096, 2**20 // support) // cores)`` at a time,
@@ -826,10 +831,8 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     b*N <= 64 (``SystemLaw._draws`` holds the rule): its rows are its T
     draws, each point's one-word key repeated c_i times with no index, and
     a group of c draws adds the c-th of T + 1 values -p log p, p = c / T,
-    taken from a table built once per law (``SystemLaw._terms``; 2 KB at
-    T = 256, 512 KB at T = 65,536, never more than twice the draw keys'
-    bytes), so there is no gather of masses, no per-key sum and no
-    per-group log.  Chunks, pool and row blocks are the same, sized by T.
+    from a table built once per law (``SystemLaw._terms``), so there is no
+    gather of masses, no per-key sum and no per-group log.  Chunks, pool and row blocks are the same, sized by T.
     For d = 2^j the masses are dyadic, the weighted route's group sums
     exact, and both routes give the same bits; for other d they differ by
     about 1e-15 nats.
@@ -937,17 +940,12 @@ def all_subset_entropies(law: SystemLaw) -> np.ndarray:
       -p log p terms pairwise; a block adds each run of the node's
       trailing cells pairwise, then the runs one droppable axis at a time,
       d terms per step;
-    - the *sort* path (the one :func:`subset_entropies` uses) groups the
-      support by its projected configuration, mask by mask: about
-      2^N * support * log(support) work per key word.  A law whose masses
-      are counts c_i / T (a construction) sorts its T draws instead, one
-      word each, and looks each group's -p log p up by its run length in
-      a per-law table of T + 1 terms (at most twice the draw keys' bytes):
-      the count route of :func:`subset_entropies`.  Chunks of ~2^20 /
-      cores keys run on every CPU in the process's affinity set, and each
-      chunk is sorted in row blocks of at most ``_SORT_BLOCK`` (2^16)
-      keys, ~2 MB of temporaries per worker; the output is bit-identical
-      at any chunk size, block size and worker count.
+    - the *sort* path (:func:`subset_entropies`, which gives its two
+      routes, its chunks and its memory) groups the support by its
+      projected configuration, mask by mask: about 2^N * support *
+      log(support) work per key word.  A law whose masses are counts
+      c_i / T (a construction) sorts its T draws instead.  The output is
+      bit-identical at any chunk size, block size and worker count.
 
     The lattice is used when (d+1)^N <= 2^N * support, i.e. for dense or
     high-support laws; the sort path otherwise, e.g. for the sparse

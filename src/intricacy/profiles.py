@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientTable, MixingMeasure, binomials
+from .coefficients import CoefficientTable, MixingMeasure
 from .laws import (EntropyProfile, SystemLaw, all_subset_entropies,
                    entropy_profile_exact)
 
@@ -30,11 +30,11 @@ def intricacy_defn(law: SystemLaw, table: CoefficientTable) -> float:
 
 
 def g_functional(profile: EntropyProfile, table: CoefficientTable) -> float:
-    """G^c_N(h) = 2 E h(beta_N) - h(1), dimensionless."""
+    """G^c_N(h) = 2 E h(beta_N) - h(1) of a law's profile, dimensionless."""
     if table.N != profile.N:
         raise ValueError(f"table size {table.N} != profile size {profile.N}")
-    weights = table.c * binomials(table.N)
-    return float(2.0 * np.dot(weights, profile.values) - profile.values[-1])
+    G = float(2.0 * np.dot(table.p, profile.values) - profile.values[-1])
+    return max(G, 0.0)  # every mutual information is >= 0, so I^c is too
 
 
 def intricacy_from_profile(profile: EntropyProfile, table: CoefficientTable,
@@ -56,8 +56,7 @@ def ic_n(x: float, table: CoefficientTable) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x must lie in [0,1], got {x!r}")
     N = table.N
-    weights = table.c * binomials(N)
-    return float(2.0 * np.dot(weights, np.minimum(np.arange(N + 1) / N, x)) - x)
+    return float(2.0 * np.dot(table.p, np.minimum(np.arange(N + 1) / N, x)) - x)
 
 
 def ic_limit(x: float, measure: MixingMeasure) -> float:
@@ -80,8 +79,7 @@ def profile_norm(h: EntropyProfile, g: EntropyProfile,
     """||h - g||_{c,N} = E |h(beta_N) - g(beta_N)|."""
     if h.N != g.N or h.N != table.N:
         raise ValueError("profiles and table must share N")
-    weights = table.c * binomials(table.N)
-    return float(np.dot(weights, np.abs(h.values - g.values)))
+    return float(np.dot(table.p, np.abs(h.values - g.values)))
 
 
 @dataclass(frozen=True)

@@ -414,6 +414,23 @@ def test_intricacy_product_law_zero(capsys, tmp_path):
     assert rec["normalized_intricacy"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_intricacy_is_never_negative(capsys, tmp_path):
+    # X_1 and X_2 are constant, so every mutual information is exactly 0;
+    # p-sym:0.3's weighted sum of the profile left -5.6e-17 before G was
+    # clamped at 0
+    path = tmp_path / "two.json"
+    path.write_text(SystemLaw.sparse(2, 3, [[0, 0, 0], [0, 0, 1]],
+                                     [0.5, 0.5]).to_json())
+    code, out, _ = run(capsys, "intricacy", str(path),
+                       "--families", "est,uniform,p-sym:0.3,p-sym:0.1")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    values = {row[0]: float(row[6]) for row in rows}
+    assert list(values) == ["est", "uniform", "p-sym:0.3", "p-sym:0.1"]
+    assert all(v >= 0.0 for v in values.values())
+    assert rows[2][6] == "0.0"
+
+
 def test_intricacy_over_cap_without_sampled_exits_3(capsys, over_cap_file):
     code, _, err = run(capsys, "intricacy", over_cap_file)
     assert code == 3

@@ -153,20 +153,67 @@ def test_reading_a_construct_file_sorts_no_rows(monkeypatch, tmp_path):
     assert back.probs.tobytes() == law.probs.tobytes()
 
 
-@given(d=st.sampled_from([2, 3, 5]), N=st.integers(0, 4),
-       seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_group_rows_matches_dict_oracle(d, N, seed):
+def _lexsort_group_rows(rows, weights):
+    """Reference grouping: a lexsort over the N uint8 columns, then the
+    rows that differ from the one before, symbol by symbol."""
+    n, N = rows.shape
+    order = np.lexsort(rows.T[::-1]) if N else np.arange(n)
+    rows = rows[order]
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+    firsts = np.flatnonzero(starts)
+    return rows[firsts], np.add.reduceat(weights[order], firsts)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_group_rows_matches_dict_oracle(seed):
+    # N on both sides of every word edge: a key word holds 63 // b symbols,
+    # b = bits(d - 1), and is uint32 up to 32 bits
     gen = np.random.default_rng(seed)
-    rows = gen.integers(0, d, size=(int(gen.integers(1, 40)), N), dtype=np.uint8)
-    weights = gen.random(len(rows))
-    want = {}
-    for row, w in zip(map(tuple, rows.tolist()), weights.tolist()):
-        want[row] = want.get(row, 0.0) + w
-    got_rows, got_weights = laws._group_rows(rows, weights)
-    assert list(map(tuple, got_rows.tolist())) == sorted(want)
-    assert np.allclose(got_weights, [want[r] for r in sorted(want)],
-                       rtol=1e-14, atol=0.0)
+    for d in (2, 3, 5, 256):
+        for N in (0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 70):
+            # a few rows, each differing from the first in one symbol, drawn
+            # with repeats: real groups, split at any coordinate
+            pool = np.repeat(gen.integers(0, d, size=(1, N), dtype=np.uint8),
+                             int(gen.integers(1, 12)), axis=0)
+            if N:
+                at = gen.integers(0, N, size=len(pool))
+                pool[np.arange(len(pool)), at] = gen.integers(0, d, size=len(pool))
+            rows = pool[gen.integers(0, len(pool), size=int(gen.integers(1, 60)))]
+            weights = gen.random(len(rows))
+            want = {}
+            for row, w in zip(map(tuple, rows.tolist()), weights.tolist()):
+                want[row] = want.get(row, 0.0) + w
+            got_rows, got_weights = laws._group_rows(rows, weights, d)
+            assert list(map(tuple, got_rows.tolist())) == sorted(want)
+            assert np.allclose(got_weights, [want[r] for r in sorted(want)],
+                               rtol=1e-14, atol=0.0)
+            ref_rows, ref_weights = _lexsort_group_rows(rows, weights)
+            assert got_rows.shape == ref_rows.shape
+            assert got_rows.tobytes() == ref_rows.tobytes()
+            assert got_weights.tobytes() == ref_weights.tobytes()
+
+
+def test_key_words_make_no_row_by_coordinate_copy():
+    import tracemalloc
+    n, N = 1 << 18, 40
+    configs = np.random.default_rng(40).integers(0, 2, size=(n, N),
+                                                 dtype=np.uint8)
+    word, bounds = laws._key_layout(2, N, n)
+    tracemalloc.start()
+    try:
+        words = laws._key_words(configs, 2, word, bounds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the words and one column's buffer, 2 MB each, and numpy's cast
+    # buffers; an (n, 40) copy of the rows in the word type would be 80 MB
+    assert words.shape == (1, n) and words.dtype == np.uint64
+    assert peak <= 2 * words.nbytes + (1 << 20)
+    head = [int("".join(map(str, row[::-1])), 2) for row in configs[:256].tolist()]
+    assert words[0, :256].tolist() == head
 
 
 # --- marginal -------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""The package needs numpy alone at run time, and its numbers do not depend
-on how many threads numpy's BLAS runs.  Both are checked in fresh
-interpreters, since an import or a BLAS thread count is fixed per process."""
+"""The package needs numpy alone at run time, its numbers do not depend on
+how many threads numpy's BLAS runs, and a large construction's peak memory
+stays bounded.  Each is checked in a fresh interpreter, since an import, a
+BLAS thread count or a peak RSS is fixed per process."""
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,3 +85,31 @@ def test_numbers_do_not_depend_on_blas_threads():
     two = run_python(THREAD_PROBE, OPENBLAS_NUM_THREADS="2")
     assert one.count("\n") == 26
     assert one == two
+
+
+MEMORY_PROBE = """
+import resource, sys
+from intricacy import ConstructionSpec, sample_sparse_system
+from intricacy.experiments import threshold_census
+
+law = sample_sparse_system(ConstructionSpec(2, 40, 20, seed=0))
+report = threshold_census(law, 0.5, 0.5, 0.1, 20, seed=1)
+assert report.samples == 20
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+# kilobytes on Linux, bytes on macOS
+print(peak // (1 << 20) if sys.platform == "darwin" else peak // 1024)
+"""
+
+
+def test_large_construction_peak_memory():
+    # a (2,40,20) construct and a 20-mask census: 2^20 draws of 40 symbols
+    # (40 MB) and their grouped rows, with key words packed one column at
+    # a time.  An (n, 40) uint64 copy of the rows would add 320 MB
+    pytest.importorskip("resource")
+    # the probe is a child of a small interpreter: a process started from
+    # this one would count this one's RSS, which Linux carries over fork
+    # and exec into ru_maxrss
+    launcher = ("import subprocess, sys\n"
+                f"subprocess.run([sys.executable, '-c', {MEMORY_PROBE!r}], "
+                "check=True)")
+    assert int(run_python(launcher)) < 260

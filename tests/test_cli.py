@@ -416,8 +416,8 @@ def test_intricacy_product_law_zero(capsys, tmp_path):
 
 def test_intricacy_is_never_negative(capsys, tmp_path):
     # X_1 and X_2 are constant, so every mutual information is exactly 0;
-    # p-sym:0.3's weighted sum of the profile left -5.6e-17 before G was
-    # clamped at 0
+    # p-sym:0.3's weighted sum of the profile rounds to -5.6e-17, which
+    # g_functional clamps to 0
     path = tmp_path / "two.json"
     path.write_text(SystemLaw.sparse(2, 3, [[0, 0, 0], [0, 0, 1]],
                                      [0.5, 0.5]).to_json())

@@ -174,7 +174,7 @@ def test_group_rows_matches_dict_oracle(seed):
     gen = np.random.default_rng(seed)
     for d in (2, 3, 5, 256):
         for N in (0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 70):
-            # a few rows, each differing from the first in one symbol, drawn
+            # a few copies of one row, each with one symbol redrawn, drawn
             # with repeats: real groups, split at any coordinate
             pool = np.repeat(gen.integers(0, d, size=(1, N), dtype=np.uint8),
                              int(gen.integers(1, 12)), axis=0)

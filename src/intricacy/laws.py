@@ -832,10 +832,10 @@ def subset_entropies(law: SystemLaw, masks) -> np.ndarray:
     draws, each point's one-word key repeated c_i times with no index, and
     a group of c draws adds the c-th of T + 1 values -p log p, p = c / T,
     from a table built once per law (``SystemLaw._terms``), so there is no
-    gather of masses, no per-key sum and no per-group log.  Chunks, pool and row blocks are the same, sized by T.
-    For d = 2^j the masses are dyadic, the weighted route's group sums
-    exact, and both routes give the same bits; for other d they differ by
-    about 1e-15 nats.
+    gather of masses, no per-key sum and no per-group log.  Chunks, pool
+    and row blocks are the same, sized by T.  For d = 2^j the masses are
+    dyadic, the weighted route's group sums exact, and both routes give the
+    same bits; for other d they differ by about 1e-15 nats.
     Every law takes this path, whatever its file format or N.  The empty
     mask has entropy exactly 0, and no entropy is -0.0.
     Raises ``TypeError`` for a mask that is not an integer and
